@@ -465,6 +465,9 @@ class CommandGenerator:
         Unlike ``txn`` there is no abort flag: the batch's atomicity comes
         from the real system itself — any rejected update must roll back
         the whole batch, which the runner checks against the oracle.
+        Authored commands (scenarios, corpus entries) may add
+        ``"fail": true``: the runner then appends a guaranteed rejection,
+        so the batch does all its work before rolling back.
         """
         inner = []
         for _ in range(rng.randint(2, 5)):

@@ -24,6 +24,13 @@ them on demand.  Savepoint commands run the real block under
 ``db.transaction()`` while the oracle applies the inner updates to a
 deep-copied shadow that is kept on commit and discarded on abort.
 
+Every savepoint abort — an aborted ``txn`` or a rejected ``apply_many`` —
+is checked on the spot, before the post-step sweep: the persisted form
+(:func:`~repro.persistence.database_to_dict`, OID watermark included)
+must equal the savepoint-entry form exactly, a recovery of a copy of the
+WAL must be :func:`assert_equivalent` to the live database, and every
+open pinned reader must still read exactly its pin.
+
 Entry points:
 
 * :func:`run_sequence` — seedable standalone driver (generate + run);
@@ -59,7 +66,9 @@ from repro.checking.commands import (
 from repro.checking.oracle import OracleReject, RefModel, Spec
 from repro.core.database import TseDatabase
 from repro.errors import TseError
+from repro.persistence import database_to_dict
 from repro.schema.properties import Attribute
+from repro.storage.oid import Oid
 from repro.storage.wal import CrashInjector, SimulatedCrash
 
 
@@ -84,6 +93,48 @@ def _copy_published(published: dict) -> dict:
         }
         for view, snap in published.items()
     }
+
+
+#: ``db.stats()`` counters two equivalent databases must agree on
+STATS_KEYS = (
+    "objects",
+    "oids_used",
+    "classes_total",
+    "classes_base",
+    "classes_virtual",
+    "views",
+    "view_versions",
+)
+
+
+def assert_equivalent(recovered: TseDatabase, twin: TseDatabase) -> None:
+    """Assert two databases are indistinguishable: extents, view
+    histories, ``stats()`` counts and — the strongest check — a
+    byte-identical persisted form.  Used for recovered-vs-twin checks
+    (``tests/test_wal.py``) and for the harness's post-abort check."""
+    assert sorted(recovered.schema.class_names()) == sorted(twin.schema.class_names())
+    for name in twin.schema.class_names():
+        assert recovered.extent(name) == twin.extent(name), f"extent of {name}"
+    assert recovered.view_names() == twin.view_names()
+    for view_name in twin.view_names():
+        r_versions = recovered.views.history.versions_of(view_name)
+        t_versions = twin.views.history.versions_of(view_name)
+        assert len(r_versions) == len(t_versions)
+        for r, t in zip(r_versions, t_versions):
+            assert (r.version, r.selected, r.renames, r.edges) == (
+                t.version, t.selected, t.renames, t.edges,
+            )
+            assert r.property_renames == t.property_renames
+    r_stats, t_stats = recovered.stats(), twin.stats()
+    for key in STATS_KEYS:
+        assert r_stats[key] == t_stats[key], f"stats[{key}]"
+    r_dict, t_dict = database_to_dict(recovered), database_to_dict(twin)
+    assert r_dict == t_dict
+
+
+#: an OID no allocator ever hands out (allocation starts at 1): deleting it
+#: is a guaranteed rejection, which ``apply_many(fail=True)`` appends
+_NEVER_ALLOCATED = Oid(0)
 
 
 class Divergence(AssertionError):
@@ -767,21 +818,15 @@ class DifferentialHarness:
             return "skipped"
         recovered = TseDatabase.recover(self.wal_dir, sync=self.sync)
         # recovery must be deterministic: recovering the same directory
-        # twice yields byte-identical databases (reuses the WAL suite's
-        # equivalence assertion when it is importable, i.e. under pytest)
+        # twice yields byte-identical databases
+        twin = TseDatabase.recover(self.wal_dir, sync=self.sync)
         try:
-            from test_wal import assert_equivalent
-        except ImportError:  # pragma: no cover - outside the test tree
-            assert_equivalent = None
-        if assert_equivalent is not None:
-            twin = TseDatabase.recover(self.wal_dir, sync=self.sync)
-            try:
-                assert_equivalent(recovered, twin)
-            except AssertionError as exc:
-                raise Divergence(
-                    "recovery", "recover_clean", self.step,
-                    f"two recoveries of the same log differ: {exc}",
-                )
+            assert_equivalent(recovered, twin)
+        except AssertionError as exc:
+            raise Divergence(
+                "recovery", "recover_clean", self.step,
+                f"two recoveries of the same log differ: {exc}",
+            )
         self._install_recovered(recovered)
         return "applied"
 
@@ -814,6 +859,7 @@ class DifferentialHarness:
         # updates-only clone is a faithful shadow
         shadow = self.model.clone_for_updates()
         live, self.model = self.model, shadow
+        entry = database_to_dict(self.db)
         try:
             with self.db.transaction():
                 for cmd in inner:
@@ -823,7 +869,39 @@ class DifferentialHarness:
             pass
         finally:
             self.model = live  # the shadow (and the real txn) are discarded
+        self._check_rollback("txn", entry)
         return "aborted"
+
+    def _check_rollback(self, op: str, entry: dict) -> None:
+        """Right after a savepoint abort: the database is exactly its
+        savepoint-entry self, a recovery of its WAL agrees with it, and no
+        pinned reader's view moved."""
+        if database_to_dict(self.db) != entry:
+            raise Divergence(
+                "rollback", op, self.step,
+                "persisted form after the abort differs from savepoint entry",
+            )
+        if self.db.wal is not None:
+            # recover a copy: a recovery re-attaches a live WAL, which must
+            # not share the running database's directory
+            scratch = tempfile.mkdtemp(prefix="tse-abort-")
+            try:
+                shutil.copytree(self.wal_dir, scratch, dirs_exist_ok=True)
+                recovered = TseDatabase.recover(scratch, sync="off")
+                try:
+                    assert_equivalent(recovered, self.db)
+                except AssertionError as exc:
+                    raise Divergence(
+                        "rollback", op, self.step,
+                        f"recovery of the log differs from the live database "
+                        f"after the abort: {exc}",
+                    )
+                finally:
+                    recovered.wal.close()
+            finally:
+                shutil.rmtree(scratch, ignore_errors=True)
+        for slot in sorted(self.readers):
+            self._verify_reader(slot, op)
 
     def _apply_inner(self, command: Command) -> None:
         prep = self._prepare(command.op, dict(command.args))
@@ -862,8 +940,14 @@ class DifferentialHarness:
                 oracle_fns.append(fn)
         if not specs:
             return "skipped"
+        if args.get("fail"):
+            # a batch that does its work and then fails: the guaranteed
+            # rejection comes last, so every update before it has run
+            specs.append(("delete", {"oids": [_NEVER_ALLOCATED]}))
+            oracle_fns.append(_reject_never_allocated)
         if not self.batched:
             return self._apply_many_legacy(specs, oracle_fns)
+        entry = database_to_dict(self.db)
         try:
             results = self.db.apply_many(specs, batched=self.batched)
         except TseError as exc:
@@ -872,7 +956,9 @@ class DifferentialHarness:
                 for index, fn in enumerate(oracle_fns):
                     fn(shadow, f"batch-dummy-{index}")
             except OracleReject:
-                return "rejected"  # whole batch rolled back on both sides
+                # whole batch rolled back on both sides
+                self._check_rollback("apply_many", entry)
+                return "rejected"
             raise Divergence(
                 "outcome",
                 "apply_many",
@@ -1077,45 +1163,37 @@ class DifferentialHarness:
 
     def _op_reader_check(self, args) -> str:
         slot = args["slot"] % READER_SLOTS
-        session = self.readers.get(slot)
-        if session is None:
+        if slot not in self.readers:
             return "skipped"
+        self._verify_reader(slot, "reader_check")
+        return "applied"
+
+    def _verify_reader(self, slot: int, op: str) -> None:
+        """The reader in ``slot`` still reads exactly its pin."""
+        session = self.readers[slot]
         pin = self.pins[slot]
+
+        def drift(detail: str) -> Divergence:
+            return Divergence("reader", op, self.step, f"slot {slot}: {detail}")
+
         try:
             if not session.verify():
-                raise Divergence(
-                    "reader", "reader_check", self.step,
-                    f"slot {slot}: pinned epoch failed CRC verification",
-                )
+                raise drift("pinned epoch failed CRC verification")
             for view, snap in sorted(pin.items()):
                 if session.view_version(view) != snap["version"]:
-                    raise Divergence(
-                        "reader", "reader_check", self.step,
-                        f"slot {slot}: {view!r} version "
-                        f"{session.view_version(view)} != pinned {snap['version']}",
+                    raise drift(
+                        f"{view!r} version {session.view_version(view)} "
+                        f"!= pinned {snap['version']}"
                     )
                 if sorted(session.class_names(view)) != snap["classes"]:
-                    raise Divergence(
-                        "reader", "reader_check", self.step,
-                        f"slot {slot}: {view!r} classes drifted from pin",
-                    )
+                    raise drift(f"{view!r} classes drifted from pin")
                 for cls, extent in sorted(snap["extents"].items()):
                     if sorted(session.extent_oids(view, cls)) != extent:
-                        raise Divergence(
-                            "reader", "reader_check", self.step,
-                            f"slot {slot}: {view!r}.{cls!r} extent drifted from pin",
-                        )
+                        raise drift(f"{view!r}.{cls!r} extent drifted from pin")
                     if session.count(view, cls) != len(extent):
-                        raise Divergence(
-                            "reader", "reader_check", self.step,
-                            f"slot {slot}: {view!r}.{cls!r} count != pinned extent",
-                        )
+                        raise drift(f"{view!r}.{cls!r} count != pinned extent")
         except TseError as exc:
-            raise Divergence(
-                "reader", "reader_check", self.step,
-                f"slot {slot}: pinned read raised {type(exc).__name__}: {exc}",
-            )
-        return "applied"
+            raise drift(f"pinned read raised {type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     # fleet simulation: version pins, rolling upgrades, retirement, merge
@@ -1505,6 +1583,10 @@ class DifferentialHarness:
 
 class _AbortTxn(Exception):
     """Sentinel that rolls a fuzzed savepoint back."""
+
+
+def _reject_never_allocated(_model, _value) -> None:
+    raise OracleReject(f"object {_NEVER_ALLOCATED!r} does not exist")
 
 
 # ---------------------------------------------------------------------------

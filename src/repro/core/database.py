@@ -579,11 +579,23 @@ class TseDatabase:
         """A context manager giving all-or-nothing semantics to a block of
         work — generic updates *and* schema evolution alike.
 
-        Implemented as a whole-database savepoint (this is a single-process
-        reproduction; the paper delegated real concurrency control to
-        GemStone): on a raised exception the store, instance pool, global
-        schema, view history, evolution log and indexes are rolled back to
-        the state at entry, and the exception propagates.
+        Implemented as a savepoint (this is a single-process reproduction;
+        the paper delegated real concurrency control to GemStone): on a
+        raised exception the store, instance pool, global schema, view
+        history, evolution log and indexes are rolled back to the state at
+        entry, and the exception propagates.
+
+        Data rolls back through an undo log
+        (:class:`~repro.storage.undo.UndoLog`): while the block runs, every
+        slice create/drop and every pool mutation records its before-image,
+        and an abort replays those steps newest-first through the same
+        mutators — objects and slices come back under their original OIDs,
+        extent caches and indexes are maintained incrementally, and the OID
+        allocator rewinds to its entry watermark.  Entry, commit and abort
+        therefore cost O(work in the block), not O(database).  The schema
+        side (global schema, view versions, retired map, evolution log) is
+        captured at entry in O(schema) and restored only if it changed.
+        Blocks nest; an inner abort rolls back to its own entry.
 
         ::
 
@@ -597,20 +609,25 @@ class TseDatabase:
         @contextmanager
         def scope():
             tracer = self.obs.tracer
-            checkpoint = self._checkpoint()
+            savepoint = self._open_savepoint()
             if self.wal is not None:
                 self.wal.begin_savepoint()
             try:
                 yield self
             except BaseException:
-                with tracer.span("abort", scope="savepoint"):
-                    self._restore(checkpoint)
-                if self.wal is not None:
-                    # abort is a no-op on disk: buffered records are dropped
-                    self.wal.abort_savepoint()
-                self.transactions.aborts += 1
+                try:
+                    with tracer.span("abort", scope="savepoint"):
+                        self._rollback_savepoint(savepoint)
+                finally:
+                    # even a failed rollback closes the WAL savepoint, or
+                    # every later commit would stay buffered
+                    if self.wal is not None:
+                        # abort is a no-op on disk: buffered records are dropped
+                        self.wal.abort_savepoint()
+                    self.transactions.aborts += 1
                 raise
             with tracer.span("commit", scope="savepoint"):
+                self.store.undo.release()
                 # savepoint release: the WAL buffer (records journaled by
                 # the block) reaches the disk here, in one barrier — this
                 # closes the all-or-nothing unit of work
@@ -642,8 +659,10 @@ class TseDatabase:
         * the WAL sees **one group commit** — the batch runs inside a
           savepoint, whose release emits a single composite ``txn`` record
           and one barrier, instead of a record + flush per update;
-        * failure anywhere rolls the whole batch back (savepoint restore)
-          and re-raises — all-or-nothing, matching what recovery replays.
+        * failure anywhere rolls the whole batch back — the savepoint's
+          undo log replays the batch's own changes in reverse, so the
+          rollback costs O(batch), not O(database) — and re-raises:
+          all-or-nothing, matching what recovery replays.
 
         ``batched=False`` applies the updates one by one with per-update
         journaling and no atomicity — the pre-batching behaviour, kept for
@@ -684,10 +703,13 @@ class TseDatabase:
                     results.append(fn(**kwargs))
         return results
 
-    def _checkpoint(self) -> dict:
+    def _open_savepoint(self) -> dict:
+        """Savepoint entry: an undo-log mark plus the O(schema) capture of
+        the schema side.  No object or slice is copied."""
         return {
-            "store": self.store.snapshot(),
-            "pool": self.pool.memento(),
+            "undo_mark": self.store.undo.mark(),
+            "oid_next": self.store.oid_next,
+            "schema_generation": self.schema.generation,
             "schema": self.schema.memento(),
             "views": {
                 name: list(self.views.history.versions_of(name))
@@ -695,27 +717,28 @@ class TseDatabase:
             },
             "retired_views": self.views.history.retired_map(),
             "log_length": len(self.tsem.log),
-            "indexes": list(self.indexes.index_names()),
+            "indexes": set(self.indexes.index_names()),
         }
 
-    def _restore(self, checkpoint: dict) -> None:
-        self.store.restore_snapshot(checkpoint["store"])
-        self.pool.restore(checkpoint["pool"])
-        self.schema.restore(checkpoint["schema"])
+    def _rollback_savepoint(self, savepoint: dict) -> None:
+        # data first, while the schema still knows every class the block
+        # created: each undo step seals its cone and emits its delta
+        self.store.undo.rollback(savepoint["undo_mark"])
+        self.store.rewind_oids(savepoint["oid_next"])
+        if self.schema.generation != savepoint["schema_generation"]:
+            self.schema.restore(savepoint["schema"])
         self.views.history._versions = {
-            name: list(versions)
-            for name, versions in checkpoint["views"].items()
+            name: list(versions) for name, versions in savepoint["views"].items()
         }
-        self.views.history.restore_retired(checkpoint.get("retired_views", {}))
-        del self.tsem.log[checkpoint["log_length"]:]
-        # rebuild indexes from restored data (cheap at savepoint scale)
-        for storage_class, attribute in checkpoint["indexes"]:
+        self.views.history.restore_retired(savepoint["retired_views"])
+        del self.tsem.log[savepoint["log_length"]:]
+        # value changes already reached the indexes through the pool's
+        # listeners; only indexes created or dropped inside the block move
+        current = set(self.indexes.index_names())
+        for storage_class, attribute in current - savepoint["indexes"]:
             self.indexes.drop_index(storage_class, attribute)
+        for storage_class, attribute in sorted(savepoint["indexes"] - current):
             self.indexes.create_index(storage_class, attribute)
-        for storage_class, attribute in list(self.indexes.index_names()):
-            if (storage_class, attribute) not in checkpoint["indexes"]:
-                self.indexes.drop_index(storage_class, attribute)
-        self.evaluator.invalidate()
 
     # ------------------------------------------------------------------
     # indexes

@@ -10,7 +10,8 @@ class that shares the storage definition (a capacity-augmenting refine's
 attribute gets indexed at the refine class).
 
 Maintenance is event-driven: the instance pool publishes value writes and
-object destruction; the manager keeps the buckets exact.
+removals, slice drops and object destruction (savepoint rollbacks replay
+through the same events); the manager keeps the buckets exact.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class IndexManager:
         self.pool = pool
         self._indexes: Dict[Tuple[str, str], HashIndex] = {}
         pool.add_value_listener(self._on_value)
+        pool.add_value_remove_listener(self._on_value_remove)
         pool.add_destroy_listener(self._on_destroy)
         pool.add_slice_drop_listener(self._on_membership_drop)
 
@@ -121,6 +123,11 @@ class IndexManager:
         index = self._indexes.get((storage_class, attribute))
         if index is not None:
             index.put(oid, value)
+
+    def _on_value_remove(self, oid: Oid, storage_class: str, attribute: str) -> None:
+        index = self._indexes.get((storage_class, attribute))
+        if index is not None:
+            index.drop(oid)
 
     def _on_destroy(self, oid: Oid) -> None:
         for index in self._indexes.values():

@@ -14,6 +14,12 @@ augmenting views need (section 2.3):
 
 Slices live in the :class:`~repro.storage.store.ObjectStore`, clustered by
 their class, so the page-level cost claims of Table 1 are observable.
+
+Every leaf mutator is also an undo seam: while a ``db.transaction()``
+savepoint is open it records its before-image in the store's
+:class:`~repro.storage.undo.UndoLog`, and a rollback replays those steps
+newest-first through the same mutators — each undo step seals its own
+migration cone and emits its ordinary :class:`PoolDelta`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Container, Dict, FrozenSet, Iterable, ItemsView, Iterator, Op
 
 from repro.errors import InvalidCast, NotAMember, ObjectNotFound
 from repro.storage.oid import OID_SIZE_BYTES, POINTER_SIZE_BYTES, Oid
-from repro.storage.store import ObjectStore
+from repro.storage.store import ABSENT, ObjectStore
 
 #: distinguishes "attribute never written" from a stored ``None`` so
 #: :meth:`InstancePool.get_value` costs one page read instead of two
@@ -120,6 +126,8 @@ class InstancePool:
         self._generation = 0
         #: callbacks fired on value writes: (oid, storage_class, attr, value)
         self._value_listeners: list = []
+        #: callbacks fired on value removals: (oid, storage_class, attr)
+        self._value_remove_listeners: list = []
         #: callbacks fired when an object is destroyed: (oid,)
         self._destroy_listeners: list = []
         #: callbacks fired when a slice is dropped: (oid, storage_class)
@@ -134,6 +142,10 @@ class InstancePool:
     def add_value_listener(self, callback) -> None:
         """Subscribe to attribute writes (index maintenance hook)."""
         self._value_listeners.append(callback)
+
+    def add_value_remove_listener(self, callback) -> None:
+        """Subscribe to attribute removals (index maintenance hook)."""
+        self._value_remove_listeners.append(callback)
 
     def add_delta_listener(self, callback) -> None:
         """Subscribe to typed :class:`PoolDelta` events (extent maintenance).
@@ -179,9 +191,34 @@ class InstancePool:
             for name in direct_classes:
                 self._add_direct(obj, name)
             self._dirty()
+            undo = self.store.undo
+            if undo.recording:
+                undo.record(self._uncreate, oid)
             for name in obj.direct_classes:
                 self._emit(PoolDelta("add_membership", oid=oid, class_name=name))
             return obj
+        finally:
+            if sealed:
+                mig.end_mutation()
+
+    def _uncreate(self, oid: Oid) -> None:
+        """Undo of :meth:`create_object`.  Later undo steps have already
+        stripped the object back to its bare memberships, so removing it
+        moves exactly the cone its creation sealed — no seal-everything
+        :meth:`destroy_object` needed."""
+        obj = self.get(oid)
+        mig = self.migration
+        sealed = mig is not None and mig.begin_mutation(
+            "membership", oid=oid, class_names=tuple(obj.direct_classes)
+        )
+        try:
+            for name in obj.direct_classes:
+                self._discard_direct(oid, name)
+            del self._objects[oid]
+            self._dirty()
+            for listener in self._destroy_listeners:
+                listener(oid)
+            self._emit(PoolDelta("destroy", oid=oid))
         finally:
             if sealed:
                 mig.end_mutation()
@@ -196,6 +233,11 @@ class InstancePool:
         mig = self.migration
         sealed = mig is not None and mig.begin_mutation("destroy", oid=oid)
         try:
+            undo = self.store.undo
+            if undo.recording:
+                # recorded before the slice drops, so on rollback the
+                # slices are back before the object is revived
+                undo.record(self._revive, obj)
             for impl in obj.implementations.values():
                 self.store.drop_slice(impl.slice_id)
             for name in list(obj.direct_classes):
@@ -208,6 +250,35 @@ class InstancePool:
         finally:
             if sealed:
                 mig.end_mutation()
+
+    def _revive(self, obj: ConceptualObject) -> None:
+        """Undo of :meth:`destroy_object`: the same conceptual object (same
+        OID, memberships, slice links and current class) rejoins the pool.
+        Its slices were restored by the store's own undo steps."""
+        mig = self.migration
+        sealed = mig is not None and mig.begin_mutation("destroy", oid=obj.oid)
+        try:
+            self._objects[obj.oid] = obj
+            for name in obj.direct_classes:
+                self._members_direct.setdefault(name, set()).add(obj.oid)
+            self._dirty()
+            for impl in obj.implementations.values():
+                self._announce_slice(obj.oid, impl)
+            for name in obj.direct_classes:
+                self._emit(PoolDelta("add_membership", oid=obj.oid, class_name=name))
+        finally:
+            if sealed:
+                mig.end_mutation()
+
+    def _announce_slice(self, oid: Oid, impl: ImplementationObject) -> None:
+        """Tell value listeners and delta listeners about every value of a
+        slice that has just been re-linked to its object (rollback only)."""
+        for attr, value in self.store.read_slice(impl.slice_id).items():
+            for listener in self._value_listeners:
+                listener(oid, impl.class_name, attr, value)
+            self._emit(
+                PoolDelta("set_value", oid=oid, class_name=impl.class_name, attr=attr)
+            )
 
     def get(self, oid: Oid) -> ConceptualObject:
         try:
@@ -258,12 +329,25 @@ class InstancePool:
             try:
                 self._add_direct(obj, class_name)
                 self._dirty()
+                undo = self.store.undo
+                if undo.recording:
+                    undo.record(
+                        self._unadd_membership, oid, class_name, obj.current_class
+                    )
                 self._emit(
                     PoolDelta("add_membership", oid=oid, class_name=class_name)
                 )
             finally:
                 if sealed:
                     mig.end_mutation()
+
+    def _unadd_membership(
+        self, oid: Oid, class_name: str, current_class: Optional[str]
+    ) -> None:
+        """Undo of :meth:`add_membership` (the slice, if any, is removed by
+        its own :meth:`ensure_slice` undo step)."""
+        self.remove_membership(oid, class_name, keep_slice=True)
+        self.get(oid).current_class = current_class
 
     def remove_membership(
         self, oid: Oid, class_name: str, keep_slice: bool = False
@@ -286,18 +370,56 @@ class InstancePool:
         try:
             obj.direct_classes.discard(class_name)
             self._discard_direct(oid, class_name)
-            if not keep_slice:
-                impl = obj.implementations.pop(class_name, None)
-                if impl is not None:
-                    self.store.drop_slice(impl.slice_id)
-                    for listener in self._slice_drop_listeners:
-                        listener(oid, class_name)
+            impl = None if keep_slice else obj.implementations.pop(class_name, None)
+            undo = self.store.undo
+            if undo.recording:
+                # recorded before the slice drop: rollback restores the
+                # slice first, then re-links it here
+                undo.record(
+                    self._unremove_membership,
+                    oid,
+                    class_name,
+                    impl,
+                    obj.current_class,
+                )
+            if impl is not None:
+                self.store.drop_slice(impl.slice_id)
+                for listener in self._slice_drop_listeners:
+                    listener(oid, class_name)
             if obj.current_class == class_name:
                 obj.current_class = None
             self._dirty()
             self._emit(
                 PoolDelta("remove_membership", oid=oid, class_name=class_name)
             )
+        finally:
+            if sealed:
+                mig.end_mutation()
+
+    def _unremove_membership(
+        self,
+        oid: Oid,
+        class_name: str,
+        impl: Optional[ImplementationObject],
+        current_class: Optional[str],
+    ) -> None:
+        """Undo of :meth:`remove_membership`: the membership returns, and
+        so does the dropped slice (already restored in the store under its
+        original id), re-linked and re-announced to the listeners."""
+        obj = self.get(oid)
+        mig = self.migration
+        sealed = mig is not None and mig.begin_mutation(
+            "membership", oid=oid, class_names=(class_name,)
+        )
+        try:
+            self._add_direct(obj, class_name)
+            if impl is not None:
+                obj.implementations[class_name] = impl
+            obj.current_class = current_class
+            self._dirty()
+            if impl is not None:
+                self._announce_slice(oid, impl)
+            self._emit(PoolDelta("add_membership", oid=oid, class_name=class_name))
         finally:
             if sealed:
                 mig.end_mutation()
@@ -341,7 +463,13 @@ class InstancePool:
         obj = self.get(oid)
         if class_name not in member_of:
             raise InvalidCast(f"{oid} is not a member of {class_name!r}")
+        undo = self.store.undo
+        if undo.recording:
+            undo.record(self._uncast, oid, obj.current_class)
         obj.current_class = class_name
+
+    def _uncast(self, oid: Oid, current_class: Optional[str]) -> None:
+        self.get(oid).current_class = current_class
 
     # -- slices and values ----------------------------------------------------------
 
@@ -359,7 +487,16 @@ class InstancePool:
                 slice_id=slice_id,
             )
             obj.implementations[storage_class] = impl
+            undo = self.store.undo
+            if undo.recording:
+                undo.record(self._unlink_slice, oid, storage_class)
         return impl
+
+    def _unlink_slice(self, oid: Oid, storage_class: str) -> None:
+        """Undo of a lazy :meth:`ensure_slice`.  The slice holds no values
+        by now (their writes were undone first), so unlinking it moves no
+        extent; the store's own undo step then drops it."""
+        del self.get(oid).implementations[storage_class]
 
     def get_value(
         self, oid: Oid, storage_class: str, attr: str, default: object = None
@@ -387,7 +524,7 @@ class InstancePool:
 
         def read(oid: Oid, _pool=self) -> object:
             # _objects is reassigned wholesale by restore(); go through the
-            # pool attribute so savepoint rollbacks are always visible
+            # pool attribute so a reader built before the swap follows it
             try:
                 obj = _pool._objects[oid]
             except KeyError:
@@ -398,6 +535,16 @@ class InstancePool:
             return slice_read(impl.slice_id)
 
         return read
+
+    def _restore_value(
+        self, oid: Oid, storage_class: str, attr: str, previous: object
+    ) -> None:
+        """Undo of :meth:`set_value`: write back the replaced value, or
+        erase the attribute when there was none."""
+        if previous is ABSENT:
+            self.remove_value(oid, storage_class, attr)
+        else:
+            self.set_value(oid, storage_class, attr, previous)
 
     def has_value(self, oid: Oid, storage_class: str, attr: str) -> bool:
         obj = self.get(oid)
@@ -416,7 +563,10 @@ class InstancePool:
         )
         try:
             impl = self.ensure_slice(oid, storage_class)
-            self.store.put_value(impl.slice_id, attr, value)
+            previous = self.store.put_value(impl.slice_id, attr, value)
+            undo = self.store.undo
+            if undo.recording:
+                undo.record(self._restore_value, oid, storage_class, attr, previous)
             self._dirty()
             for listener in self._value_listeners:
                 listener(oid, storage_class, attr, value)
@@ -437,8 +587,13 @@ class InstancePool:
                 "value", oid=oid, class_names=(storage_class,), attr=attr
             )
             try:
-                self.store.remove_value(impl.slice_id, attr)
+                previous = self.store.remove_value(impl.slice_id, attr)
+                undo = self.store.undo
+                if undo.recording and previous is not ABSENT:
+                    undo.record(self.set_value, oid, storage_class, attr, previous)
                 self._dirty()
+                for listener in self._value_remove_listeners:
+                    listener(oid, storage_class, attr)
                 self._emit(
                     PoolDelta(
                         "remove_value", oid=oid, class_name=storage_class, attr=attr
@@ -452,6 +607,9 @@ class InstancePool:
 
     def memento(self) -> tuple:
         """A restorable snapshot of memberships and slice links.
+
+        O(objects): savepoints do not use it (they record undo steps at the
+        mutation seams instead).
 
         Implementation objects are immutable records, so sharing them
         between the live state and the memento is safe; the mutable sets and
@@ -471,10 +629,8 @@ class InstancePool:
         """Roll memberships and slice links back to a prior :meth:`memento`.
 
         The wholesale replacement can move any extent, so pending epoch
-        captures are all sealed first — with publish-time values: the
-        restore target is the savepoint entry state, and any class a
-        mid-savepoint mutation touched was already sealed by that
-        mutation's own hook.
+        captures are all sealed first.  Every other component observes it
+        as one ``reset`` delta (extent caches are dropped whole).
         """
         mig = self.migration
         sealed = mig is not None and mig.begin_mutation("reset")

@@ -274,27 +274,64 @@ class Fleet:
 
     # -- direct writes (through the current version) ---------------------------
 
-    def create(self, view: str, cls: str, assigns: Optional[dict] = None) -> None:
-        self._emit(
-            "create",
-            view_i=self._view_i(view),
-            cls_i=self._cls_i(view, cls),
-            assigns=[
+    def _update(self, view: str, update: Sequence) -> Command:
+        """One generic update through the current version, as a command.
+
+        ``update`` is ``("create", cls, {attr: value})``, ``("set", cls,
+        obj, attr, value)``, ``("delete", cls, obj)``, ``("remove", cls,
+        obj)`` or ``("add", cls, src, obj)``; ``obj`` indexes the class
+        (or ``src``) extent."""
+        op, cls, *rest = update
+        args: Dict[str, object] = {
+            "view_i": self._view_i(view),
+            "cls_i": self._cls_i(view, cls),
+        }
+        if op == "create":
+            assigns = rest[0] if rest else {}
+            args["assigns"] = [
                 [self._attr_i(view, cls, attr), value]
-                for attr, value in (assigns or {}).items()
-            ],
-        )
+                for attr, value in assigns.items()
+            ]
+        elif op == "set":
+            obj, attr, value = rest
+            args.update(
+                obj_i=obj, attr_i=self._attr_i(view, cls, attr), value=value
+            )
+        elif op == "add":
+            src, obj = rest
+            args.update(src_cls_i=self._cls_i(view, src), obj_i=obj)
+        elif op in ("delete", "remove"):
+            (args["obj_i"],) = rest
+        else:
+            raise ValueError(f"unknown update {op!r}")
+        return Command(op, args)
+
+    def create(self, view: str, cls: str, assigns: Optional[dict] = None) -> None:
+        update = self._update(view, ("create", cls, assigns or {}))
+        self._emit(update.op, **update.args)
 
     def set(self, view: str, cls: str, obj: int, attr: str, value) -> None:
         """Set one attribute on the ``obj``-th object of the class extent."""
-        self._emit(
-            "set",
-            view_i=self._view_i(view),
-            cls_i=self._cls_i(view, cls),
-            obj_i=obj,
-            attr_i=self._attr_i(view, cls, attr),
-            value=value,
-        )
+        update = self._update(view, ("set", cls, obj, attr, value))
+        self._emit(update.op, **update.args)
+
+    # -- savepoints ------------------------------------------------------------
+
+    def batch(self, view: str, updates: Sequence[Sequence], fail: bool = False) -> str:
+        """One atomic ``apply_many`` of :meth:`_update`-shaped updates.
+        ``fail=True`` appends a guaranteed rejection, so the batch does all
+        its work and then rolls back — the harness checks the rollback on
+        the spot (exact entry state, WAL recovery, pinned readers)."""
+        inner = [command_to_dict(self._update(view, u)) for u in updates]
+        if fail:
+            return self._emit("apply_many", inner=inner, fail=True)
+        return self._emit("apply_many", inner=inner)
+
+    def aborted_txn(self, view: str, updates: Sequence[Sequence]) -> str:
+        """A ``db.transaction()`` block of updates that aborts at its end
+        (checked like a failed :meth:`batch`)."""
+        inner = [command_to_dict(self._update(view, u)) for u in updates]
+        return self._emit("txn", abort=True, inner=inner)
 
     # -- the fleet itself ------------------------------------------------------
 

@@ -11,7 +11,9 @@ The library covers the multi-version coexistence surface end to end:
 blue/green and canary rollouts, laggards writing through long-retired
 schemas, §7 merges after concurrent evolution (including writes arriving
 through an *old* view version that must surface in a newer merged view),
-epoch readers across lazy backfill, and crash/recovery mid-rollout.
+epoch readers across lazy backfill, crash/recovery mid-rollout, and
+savepoint aborts (deletes, slice-dropping removes and creates rolled back)
+under pinned readers with a lazy-migration backlog pending.
 """
 
 from __future__ import annotations
@@ -241,6 +243,58 @@ def checkpoint_recover_fleet(fleet: Fleet, scale: int) -> None:
     fleet.app_create(1, "Student", {"gpa": 3, "email": 1})
 
 
+def rollback_under_pinned_readers(fleet: Fleet, scale: int) -> None:
+    """Batches and transactions that drop slices (remove), create objects,
+    write values and delete objects, then fail — while readers are pinned
+    to different epochs and the newest epoch's extents are still pending
+    capture.  A delete seals every pending extent, so it comes last, and
+    some aborts carry none: their rollback runs against the backlog.
+    Every abort is checked on the spot: exact entry state, WAL recovery
+    equivalence, readers unmoved."""
+    fleet.enable_wal()
+    _seed_world(fleet, scale)
+    # a class no doomed change touches: its extent stays pending across
+    # the aborts, and the pinned reader's first touch captures it after
+    fleet.define_class("Dept", attrs=[("code", False, 0)])
+    fleet.create_view("Admin", ["Dept"])
+    fleet.create("Admin", "Dept", {"code": 7})
+    fleet.create("Campus", "Person", {"name": 1, "age": 30})
+    fleet.create("Campus", "Student", {"gpa": 41})
+    fleet.create("Campus", "Student", {"gpa": 42})
+    fleet.reader_open(0)
+    for round_no in range(max(1, scale)):
+        fleet.add_attribute("Campus", to="Person", name=f"tag{round_no}", default=0)
+        fleet.reader_open(1)  # pinned to an epoch whose extents are pending
+        doomed = [
+            ("remove", "Student", 1),
+            ("create", "Student", {"gpa": 50, f"tag{round_no}": 2}),
+            ("set", "Person", 0, f"tag{round_no}", 5),
+            ("create", "Course", {"credits": 4}),
+            ("delete", "Student", 0),
+        ]
+        # no delete: the rollback itself runs against the backlog
+        fleet.aborted_txn("Campus", doomed[:-1])
+        fleet.reader_check(0)
+        fleet.reader_check(1)
+        fleet.batch("Campus", doomed, fail=True)
+        fleet.reader_check(0)
+        fleet.reader_check(1)
+        fleet.add_attribute("Campus", to="Course", name=f"room{round_no}", default=0)
+        fleet.batch("Campus", doomed[:-1], fail=True)
+        fleet.reader_check(1)
+        fleet.backfill(limit=1)
+        fleet.batch(
+            "Campus",
+            [
+                ("create", "Student", {"gpa": 60 + round_no}),
+                ("set", "Person", 0, "age", round_no),
+            ],
+        )
+        fleet.reader_check(1)
+    fleet.reader_close(0)
+    fleet.reader_close(1)
+
+
 #: every named scenario, in a stable order
 SCENARIOS: Dict[str, Callable[[Fleet, int], None]] = {
     "blue_green_flip": blue_green_flip,
@@ -254,6 +308,7 @@ SCENARIOS: Dict[str, Callable[[Fleet, int], None]] = {
     "retire_then_laggard_write": retire_then_laggard_write,
     "concurrent_epoch_readers": concurrent_epoch_readers,
     "checkpoint_recover_fleet": checkpoint_recover_fleet,
+    "rollback_under_pinned_readers": rollback_under_pinned_readers,
 }
 
 

@@ -144,6 +144,22 @@ class OidAllocator:
                 self._next += 1
                 self._allocated += 1
 
+    def rewind(self, next_value: int) -> None:
+        """Roll allocation back to a savepoint's watermark.
+
+        Only a savepoint rollback may call this: every OID at or above
+        ``next_value`` went to work the rollback has just undone, so no
+        live object, slice or durable record carries it.
+        """
+        with self._mutex:
+            if next_value > self._next:
+                raise ValueError(
+                    f"cannot rewind OID allocator forward from {self._next} "
+                    f"to {next_value}"
+                )
+            self._allocated -= self._next - next_value
+            self._next = next_value
+
     def snapshot(self) -> dict:
         """Return a JSON-serialisable snapshot of the allocator state."""
         with self._mutex:

@@ -64,10 +64,10 @@ class Page:
             raise PageError(f"slot {slot} not present on page {self.page_id}")
         self.slots[slot] = payload
 
-    def delete(self, slot: int) -> None:
+    def delete(self, slot: int) -> object:
         if slot not in self.slots:
             raise PageError(f"slot {slot} not present on page {self.page_id}")
-        del self.slots[slot]
+        return self.slots.pop(slot)
 
 
 @dataclass
@@ -191,10 +191,12 @@ class PageManager:
         self._touch(page_id, write=True)
         return page.read(slot)
 
-    def delete(self, page_id: int, slot: int) -> None:
+    def delete(self, page_id: int, slot: int) -> object:
+        """Free a slot; returns the payload it held."""
         page = self._page(page_id)
-        page.delete(slot)
+        payload = page.delete(slot)
         self._touch(page_id, write=True)
+        return payload
 
     def pages_for_key(self, cluster_key: str) -> List[int]:
         """All page ids that hold slices of ``cluster_key`` (live or not)."""

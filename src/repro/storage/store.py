@@ -10,6 +10,11 @@ from its platform exactly four things, all provided here:
   access accounting so Table 1's cost model can be measured;
 * **snapshot persistence** so a database can be saved and reloaded.
 
+Savepoint rollback does not use snapshots: while a savepoint is open,
+slice creation and drop record their reversal in the store's
+:class:`~repro.storage.undo.UndoLog` (shared with the instance pool), and
+a dropped slice comes back under its original id with its payload.
+
 The store knows nothing about schemas or views; it stores flat slotted
 payloads keyed by slice id — attribute names are interned once per cluster
 (class) in an :class:`AttributeTable` and each slice is a plain list indexed
@@ -20,6 +25,7 @@ by interned position.  The external interface still speaks dictionaries
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 from dataclasses import dataclass, field
@@ -29,11 +35,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.errors import SliceNotFound, StorageError
 from repro.storage.oid import Oid, OidAllocator
 from repro.storage.pages import DEFAULT_CACHE_PAGES, DEFAULT_SLOTS_PER_PAGE, PageManager
+from repro.storage.undo import UndoLog
 
 
 #: slot marker for "attribute not present in this slice" — distinguishes a
-#: stored ``None`` from an absent value in slotted payloads
-_ABSENT = object()
+#: stored ``None`` from an absent value in slotted payloads; also what
+#: :meth:`ObjectStore.put_value`/:meth:`ObjectStore.remove_value` return
+#: when there was no previous value
+ABSENT = object()
 
 
 @dataclass(slots=True)
@@ -51,7 +60,7 @@ class AttributeTable:
 
     All slices of a cluster (= class) share one name table; each slice
     payload is then a plain list indexed by the interned position, with
-    :data:`_ABSENT` holes.  Attribute names are stored once per *class*
+    :data:`ABSENT` holes.  Attribute names are stored once per *class*
     instead of once per *object*, and a value read is a list index instead
     of a string-keyed dict probe.  Positions are append-only — dropping a
     slice never renumbers survivors.
@@ -94,6 +103,8 @@ class ObjectStore:
         #: restore swap; value reads go straight to the page manager — the
         #: session layer's epoch snapshots isolate readers from writers
         self._mutex = threading.RLock()
+        #: savepoint undo log, shared with the instance pool over this store
+        self.undo = UndoLog()
 
     # -- OIDs ----------------------------------------------------------------
 
@@ -114,6 +125,10 @@ class ObjectStore:
     def fast_forward_oids(self, next_value: int) -> None:
         """Advance OID allocation to ``next_value`` (log replay only)."""
         self._oids.fast_forward(next_value)
+
+    def rewind_oids(self, next_value: int) -> None:
+        """Roll OID allocation back to a savepoint watermark (rollback only)."""
+        self._oids.rewind(next_value)
 
     # -- slices ----------------------------------------------------------------
 
@@ -136,13 +151,24 @@ class ObjectStore:
                 for key, value in values.items():
                     pos = table.intern(key)
                     if pos >= len(payload):
-                        payload.extend([_ABSENT] * (pos + 1 - len(payload)))
+                        payload.extend([ABSENT] * (pos + 1 - len(payload)))
                     payload[pos] = value
             page_id, slot = self._pages.place(cluster_key, payload)
             record = SliceRecord(slice_id, cluster_key, page_id, slot)
             self._slices[slice_id] = record
             self._by_key.setdefault(cluster_key, []).append(slice_id)
+        if self.undo.recording:
+            self.undo.record(self.drop_slice, slice_id)
         return slice_id
+
+    def _restore_slice(self, slice_id: Oid, cluster_key: str, payload: list) -> None:
+        """Undo of :meth:`drop_slice`: the slice comes back under its
+        original id with the payload it had (on a fresh slot)."""
+        with self._mutex:
+            page_id, slot = self._pages.place(cluster_key, payload)
+            self._slices[slice_id] = SliceRecord(slice_id, cluster_key, page_id, slot)
+            # ids are allocated monotonically, so buckets stay sorted
+            bisect.insort(self._by_key.setdefault(cluster_key, []), slice_id)
 
     def _record(self, slice_id: Oid) -> SliceRecord:
         try:
@@ -158,7 +184,7 @@ class ObjectStore:
         return {
             names[pos]: value
             for pos, value in enumerate(payload)
-            if value is not _ABSENT
+            if value is not ABSENT
         }
 
     def get_value(self, slice_id: Oid, key: str, default: object = None) -> object:
@@ -169,7 +195,7 @@ class ObjectStore:
         if pos is None or pos >= len(payload):
             return default
         value = payload[pos]
-        return default if value is _ABSENT else value
+        return default if value is ABSENT else value
 
     def value_reader(self, cluster_key: str, key: str, default: object = None):
         """A pre-bound single-attribute reader: ``fn(slice_id) -> value``.
@@ -185,7 +211,7 @@ class ObjectStore:
         def read(slice_id: Oid, _store=self) -> object:
             # one attribute hop per structure instead of binding the dicts:
             # restore_snapshot swaps _slices/_pages/_attrs wholesale, and a
-            # reader must follow the swap (savepoint rollbacks depend on it)
+            # reader built before the swap must still follow it
             try:
                 record = _store._slices[slice_id]
             except KeyError:
@@ -195,7 +221,7 @@ class ObjectStore:
             if pos is None or pos >= len(payload):
                 return default
             value = payload[pos]
-            return default if value is _ABSENT else value
+            return default if value is ABSENT else value
 
         return read
 
@@ -203,10 +229,11 @@ class ObjectStore:
         record = self._record(slice_id)
         payload = self._pages.read(record.page_id, record.slot)
         pos = self._attrs[record.cluster_key].index.get(key)
-        return pos is not None and pos < len(payload) and payload[pos] is not _ABSENT
+        return pos is not None and pos < len(payload) and payload[pos] is not ABSENT
 
-    def put_value(self, slice_id: Oid, key: str, value: object) -> None:
-        """Write one attribute value into a slice.
+    def put_value(self, slice_id: Oid, key: str, value: object) -> object:
+        """Write one attribute value into a slice; returns the value it
+        replaced, or :data:`ABSENT` (the caller's undo before-image).
 
         The slotted payload is updated in place — no per-write dict copy;
         aliasing is safe because :meth:`read_slice` hands out fresh dicts,
@@ -218,24 +245,29 @@ class ObjectStore:
         payload = self._pages.modify(record.page_id, record.slot)
         pos = self._attrs[record.cluster_key].intern(key)
         if pos >= len(payload):
-            payload.extend([_ABSENT] * (pos + 1 - len(payload)))
+            payload.extend([ABSENT] * (pos + 1 - len(payload)))
+        previous = payload[pos]
         payload[pos] = value
+        return previous
 
-    def remove_value(self, slice_id: Oid, key: str) -> None:
-        """Delete one attribute value from a slice (no-op if absent)."""
+    def remove_value(self, slice_id: Oid, key: str) -> object:
+        """Delete one attribute value from a slice (no-op if absent);
+        returns the removed value, or :data:`ABSENT`.  Charged like
+        :meth:`put_value`: one read-modify-write page access."""
         record = self._record(slice_id)
-        payload = self._pages.read(record.page_id, record.slot)
+        payload = self._pages.modify(record.page_id, record.slot)
         pos = self._attrs[record.cluster_key].index.get(key)
         if pos is None or pos >= len(payload):
-            return
-        payload[pos] = _ABSENT
-        self._pages.write(record.page_id, record.slot, payload)
+            return ABSENT
+        previous = payload[pos]
+        payload[pos] = ABSENT
+        return previous
 
     def drop_slice(self, slice_id: Oid) -> None:
         """Destroy a slice and free its slot."""
         with self._mutex:
             record = self._record(slice_id)
-            self._pages.delete(record.page_id, record.slot)
+            payload = self._pages.delete(record.page_id, record.slot)
             del self._slices[slice_id]
             bucket = self._by_key.get(record.cluster_key)
             if bucket is not None:
@@ -243,6 +275,8 @@ class ObjectStore:
                     bucket.remove(slice_id)
                 except ValueError:
                     pass
+        if self.undo.recording:
+            self.undo.record(self._restore_slice, slice_id, record.cluster_key, payload)
 
     def slice_exists(self, slice_id: Oid) -> bool:
         return slice_id in self._slices
@@ -299,7 +333,7 @@ class ObjectStore:
             values = {
                 names[pos]: value
                 for pos, value in enumerate(payload)
-                if value is not _ABSENT
+                if value is not ABSENT
             }
             slices.append(
                 {
@@ -329,7 +363,7 @@ class ObjectStore:
             for name, value in values.items():
                 pos = table.intern(name)
                 if pos >= len(payload):
-                    payload.extend([_ABSENT] * (pos + 1 - len(payload)))
+                    payload.extend([ABSENT] * (pos + 1 - len(payload)))
                 payload[pos] = value
             page_id, slot = store._pages.place(key, payload)
             store._slices[slice_id] = SliceRecord(slice_id, key, page_id, slot)
@@ -340,8 +374,10 @@ class ObjectStore:
         """Restore the store *in place* from :meth:`snapshot` output.
 
         In-place restoration keeps every component that holds a reference to
-        this store (pool, transactions, indexes) valid — the foundation of
-        database-level savepoints.
+        this store (pool, transactions, indexes) valid.  Savepoint rollback
+        does not use it (it replays the :class:`UndoLog` instead): this is
+        a whole-store reload, and it replaces the page manager — page
+        counters included.
         """
         fresh = ObjectStore.from_snapshot(state)
         # swap all four structures in one critical section so a concurrent

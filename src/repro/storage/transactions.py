@@ -1,11 +1,18 @@
 """Transactions over the object store.
 
-GemStone provided TSE with concurrency control (section 5).  We reproduce the
-minimum a multi-session reproduction needs: strict two-phase locking at
-slice granularity with an undo journal, giving atomic commit/abort.  The TSE
-layer wraps every schema-change pipeline in a transaction so that a failure
-midway (e.g. a rejected algebra statement) rolls the database back to a
-consistent state — exercised by the failure-injection tests.
+GemStone provided TSE with concurrency control (section 5).  This module
+reproduces the minimum a multi-session store needs: strict two-phase
+locking at slice granularity with an undo journal, giving atomic
+commit/abort over the raw :class:`~repro.storage.store.ObjectStore` API —
+exercised directly by the storage and failure-injection tests.
+
+It is *not* what ``TseDatabase.transaction()`` runs on.  Database
+savepoints roll back through :class:`~repro.storage.undo.UndoLog`, which
+the store and instance pool feed at their mutation seams (this module's
+slice-drop undo would re-create slices under new ids, breaking object
+slice links); a failed schema-change pipeline rolls back through the
+schema memento in :mod:`repro.core.manager`.  The database uses only this
+manager's ``commits``/``aborts`` counters, which its savepoints maintain.
 
 Locks are per-transaction-manager and the lock table itself is guarded by a
 mutex, so transactions issued from different threads (the

@@ -215,6 +215,9 @@ def exercise_for_metrics() -> TseDatabase:
         db, _view = build_figure3_database()
         populate_students(db, 2)
         db.enable_wal(scratch)
+        # no backfill thread: its WAL appends would race the server start
+        # for a place in the registration order
+        db.migration_backfill = False
         with db.sessions().reader() as reader:
             reader.count("VS1", "Student")
         with BackgroundServer(db) as (host, port):

@@ -113,3 +113,16 @@ def test_hotpath_floor():
     assert ratio >= floors["mixed_compiled_vs_interpreted_min"], (
         f"compiled predicates made the mixed workload slower ({ratio:.2f}x)"
     )
+
+
+@pytest.mark.bench_smoke
+def test_savepoint_scale_smoke():
+    """A one-op ``apply_many`` — committed, and rolled back through the
+    undo log — costs the same at 10x the population as at 1x (the full
+    ``benchmarks/bench_savepoint.py`` sweep asserts it over 100x).  The
+    0.05 ms floor keeps microsecond noise at 1x from deciding the gate."""
+    from repro.workloads.savepoint import measure_savepoint
+
+    cells = {scale: measure_savepoint(scale) for scale in (1, 10)}
+    for key in ("commit_ms", "abort_ms"):
+        assert cells[10][key] < 4.0 * max(cells[1][key], 0.05), (key, cells)

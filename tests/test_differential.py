@@ -73,6 +73,21 @@ def test_corpus_replays_clean(corpus_path):
     )
 
 
+@pytest.mark.parametrize(
+    "corpus_path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES]
+)
+def test_corpus_replays_clean_under_eager_migration(corpus_path):
+    """The corpus again with every epoch captured at publish, so each
+    entry — the savepoint-abort ones especially — is checked under both
+    migration modes (the replay above runs the default, lazy)."""
+    commands, meta = load_corpus_entry(corpus_path)
+    divergence = run_commands(commands, migration_mode="eager")
+    assert divergence is None, (
+        f"corpus entry {corpus_path.name} (note: {meta.get('note', '')!r}) "
+        f"diverged under eager migration: {divergence}"
+    )
+
+
 def test_corpus_is_nonempty():
     assert len(CORPUS_FILES) >= 5, "regression corpus went missing"
 

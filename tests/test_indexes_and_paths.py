@@ -108,6 +108,18 @@ class TestHashIndex:
         with pytest.raises(ObjectModelError):
             db.indexes.drop_index("Doc", "tag")
 
+    def test_index_maintained_on_value_removal(self, tagged):
+        db, view = tagged
+        index = db.create_index("Doc", "tag")
+        oid = next(iter(index.lookup("t1")))
+        db.pool.remove_value(oid, "Doc", "tag")
+        assert oid not in index.lookup("t1")
+        # the maintained index equals one backfilled from the live data
+        db.indexes.drop_index("Doc", "tag")
+        fresh = db.indexes.create_index("Doc", "tag")
+        assert fresh.entry_count == index.entry_count == 59
+        assert fresh.lookup("t1") == index.lookup("t1")
+
     def test_remove_membership_drops_index_entries(self):
         db = TseDatabase()
         db.define_class("A", [Attribute("x", domain="int")])

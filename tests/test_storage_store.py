@@ -125,3 +125,14 @@ class TestSnapshots:
         store.create_slice("A")
         assert store.oids_allocated == 2
         assert store.live_slice_count == 1
+
+
+class TestSlotUpdateAccounting:
+    def test_remove_value_is_one_read_modify_write(self):
+        store = ObjectStore(cache_pages=0)  # every access is charged as I/O
+        slice_id = store.create_slice("Student", {"a": 1, "b": 2})
+        store.reset_stats()
+        assert store.remove_value(slice_id, "a") == 1
+        assert store.stats.page_writes == 1
+        assert store.stats.page_reads == 0
+        assert store.read_slice(slice_id) == {"b": 2}

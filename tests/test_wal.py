@@ -14,9 +14,9 @@ import random
 import pytest
 
 from repro.algebra.expressions import Compare
+from repro.checking.runner import assert_equivalent
 from repro.core.database import TseDatabase
 from repro.errors import RecoveryError, StorageError
-from repro.persistence import database_to_dict
 from repro.schema.classes import Derivation
 from repro.schema.properties import Attribute
 from repro.storage.wal import (
@@ -205,40 +205,6 @@ def apply_step(db: TseDatabase, step) -> None:
         db.vacuum()
     else:  # pragma: no cover - generator/apply mismatch
         raise AssertionError(f"unknown step {kind!r}")
-
-
-STATS_KEYS = (
-    "objects",
-    "oids_used",
-    "classes_total",
-    "classes_base",
-    "classes_virtual",
-    "views",
-    "view_versions",
-)
-
-
-def assert_equivalent(recovered: TseDatabase, twin: TseDatabase) -> None:
-    """The recovered database is indistinguishable from the uncrashed twin."""
-    assert sorted(recovered.schema.class_names()) == sorted(twin.schema.class_names())
-    for name in twin.schema.class_names():
-        assert recovered.extent(name) == twin.extent(name), f"extent of {name}"
-    assert recovered.view_names() == twin.view_names()
-    for view_name in twin.view_names():
-        r_versions = recovered.views.history.versions_of(view_name)
-        t_versions = twin.views.history.versions_of(view_name)
-        assert len(r_versions) == len(t_versions)
-        for r, t in zip(r_versions, t_versions):
-            assert (r.version, r.selected, r.renames, r.edges) == (
-                t.version, t.selected, t.renames, t.edges,
-            )
-            assert r.property_renames == t.property_renames
-    r_stats, t_stats = recovered.stats(), twin.stats()
-    for key in STATS_KEYS:
-        assert r_stats[key] == t_stats[key], f"stats[{key}]"
-    # the strongest check: byte-identical persisted form
-    r_dict, t_dict = database_to_dict(recovered), database_to_dict(twin)
-    assert r_dict == t_dict
 
 
 # ---------------------------------------------------------------------------
