@@ -1,242 +1,130 @@
-"""Hot-path before/after: what PR 6's compilation + batching actually buys.
+"""Hot-path throughput: fuzzing, the mixed workload, compiled matchers.
 
-Three layers of comparison, all measured in the SAME process/run so the
-machine state is held constant:
+Measures the shipped hot path (compiled predicates, row matchers, bulk
+equivalence sweeps, batched ``apply_many``) three ways:
 
-1. **After** — the shipped defaults: compiled predicates, row matchers,
-   bulk equivalence sweeps, batched ``apply_many``.
-2. **Toggle-before** — the same tree with every runtime switch flipped to
-   its historical behaviour: ``REPRO_COMPILED_PREDICATES`` off (interpreted
-   tree-walk), ``bulk_sweep=False`` (accessor-at-a-time equivalence sweep),
-   ``batched=False`` (per-update application).  This isolates the
-   *switchable* part of the work; the non-switchable micro-optimisations
-   (pre-bound column readers, oracle memoisation, C-level ``Oid`` sort
-   keys, single-access slot writes) benefit both sides.
-3. **Pre-PR** — a ``git worktree`` of the seed commit is benchmarked in a
-   subprocess with the same interpreter, giving the true end-to-end
-   speedup.  Skipped (and recorded as such) when git or the commit is
-   unavailable (e.g. shallow CI clones).
+1. **fuzz** — differential-fuzz commands per second, and per run of
+   ``tsebench/probe.reference_work`` timed in the same process (the
+   machine-independent figure ``trend.py`` tracks);
+2. **mixed** — the mixed read/write extent workload, incremental and
+   from-scratch evaluators;
+3. **matcher** — row-compiled select matchers against
+   ``Predicate.matches`` over the same readers.
 
-Results land in ``BENCH_hotpath.json`` at the repo root next to the stored
+The numbers recorded when predicate compilation and batching landed —
+against the toggled-off configuration and against the commit before them
+— are carried forward unchanged under ``pre_pr``; those modes no longer
+exist, so they are history, not re-measured.
+
+Results land in ``BENCH_hotpath.json`` at the repo root next to the
 floors that ``tests/test_bench_smoke.py::test_hotpath_floor`` enforces on
 every tier-1 run.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-import pytest
 from conftest import format_table, write_bench_json, write_report
 
-from repro.algebra import compiler
-from repro.checking.commands import CommandGenerator
-from repro.checking.runner import DifferentialHarness
 from repro.workloads.extent_maintenance import measure_mixed_workload
+from repro.workloads.hotpath import fuzz_commands_per_probe, matcher_speedup
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_hotpath.json"
 
-#: the growth-seed commit: the tree exactly as it was before this PR
-BASELINE_COMMIT = "fb5929e2e5e3b75bf3d0ab5cda3233dbde74fb6c"
+sys.path.insert(0, str(REPO_ROOT))
+from tsebench.probe import reference_work  # noqa: E402
 
 FUZZ_LENGTH = 20
 FUZZ_SEEDS = range(100, 112)
-REPEATS = 3
+REPEATS = 5
 MIXED_OBJECTS = 200
 MIXED_ROUNDS = 300
+MATCHER_REPEATS = 50
+
+#: floors enforced by ``test_hotpath_floor`` (seeds 50-55, length 15).  The
+#: per-probe floor is 1.3x the highest figure the toggled-off configuration
+#: (interpreted predicates, accessor-at-a-time sweep, unbatched updates)
+#: reached there on a 2-vCPU container (0.52-0.75; the shipped path
+#: measured 1.32-1.70).  The figure depends on the seeds, so this bench's
+#: longer sequences report it without gating on it.
+FLOORS = {
+    "fuzz_commands_per_sec_min": 150,
+    "fuzz_commands_per_probe_min": 1.0,
+    "matcher_compiled_vs_interpreted_min": 0.95,
+}
+
+#: recorded once, when compilation and batching landed; frozen
+PRE_PR = {
+    "commit": "fb5929e2e5e3b75bf3d0ab5cda3233dbde74fb6c",
+    "fuzz_commands_per_sec": 848.2,
+    "mixed_baseline_ops_per_sec": 3598,
+    "mixed_incremental_ops_per_sec": 429967,
+    "toggle_before": {
+        "fuzz_commands_per_sec": 1386.9,
+        "mixed_baseline_ops_per_sec": 6696,
+        "mixed_incremental_ops_per_sec": 734950,
+    },
+    "after": {
+        "fuzz_commands_per_sec": 3019.3,
+        "mixed_baseline_ops_per_sec": 12367,
+        "mixed_incremental_ops_per_sec": 876712,
+    },
+}
 
 
-def _run_fuzz_once(seed: int, length: int, before: bool) -> int:
-    commands = CommandGenerator(seed).generate(length)
-    harness = DifferentialHarness()
-    if before:
-        harness.bulk_sweep = False
-        harness.batched = False
-    try:
-        for command in commands:
-            harness.apply(command)
-    finally:
-        harness.close()
-    return len(commands)
-
-
-def _fuzz_rate(before: bool) -> float:
-    """Median-of-N commands/second; warm-up excluded from the clock."""
-    compiler.set_compilation(not before)
-    try:
-        _run_fuzz_once(0, FUZZ_LENGTH, before)  # warm-up
-        rates = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            n = sum(_run_fuzz_once(s, FUZZ_LENGTH, before) for s in FUZZ_SEEDS)
-            rates.append(n / (time.perf_counter() - start))
-        return statistics.median(rates)
-    finally:
-        compiler.set_compilation(True)
-
-
-def _mixed_rate(before: bool) -> dict:
-    compiler.set_compilation(not before)
-    try:
-        result = measure_mixed_workload(
-            n_objects=MIXED_OBJECTS, rounds=MIXED_ROUNDS
-        )
-        return {
-            "incremental_ops_per_sec": round(result["incremental"]["ops_per_sec"]),
-            "baseline_ops_per_sec": round(result["baseline"]["ops_per_sec"]),
-        }
-    finally:
-        compiler.set_compilation(True)
-
-
-#: subprocess payload run inside the pre-PR worktree — measures the same
-#: two workloads with that tree's own modules (no toggles: the knobs do
-#: not exist there)
-_PRE_PR_SCRIPT = r"""
-import json, statistics, sys, time
-from repro.checking.runner import run_sequence
-from repro.workloads.extent_maintenance import measure_mixed_workload
-
-length, repeats, n_objects, rounds = (int(a) for a in sys.argv[1:5])
-run_sequence(0, length=length)  # warm-up
-rates = []
-for _ in range(repeats):
-    start = time.perf_counter()
-    n = 0
-    for seed in range(100, 112):
-        commands, div = run_sequence(seed, length=length)
-        assert div is None, div
-        n += len(commands)
-    rates.append(n / (time.perf_counter() - start))
-mixed = measure_mixed_workload(n_objects=n_objects, rounds=rounds)
-print(json.dumps({
-    "fuzz_commands_per_sec": round(statistics.median(rates), 1),
-    "mixed_incremental_ops_per_sec": round(mixed["incremental"]["ops_per_sec"]),
-    "mixed_baseline_ops_per_sec": round(mixed["baseline"]["ops_per_sec"]),
-}))
-"""
-
-
-def _measure_pre_pr() -> dict:
-    """Benchmark the seed commit in a worktree subprocess; {} when the
-    commit is unreachable (shallow clone) or git is unavailable."""
-    with tempfile.TemporaryDirectory(prefix="tse-prepr-") as tmp:
-        worktree = Path(tmp) / "tree"
-        added = subprocess.run(
-            ["git", "worktree", "add", "--detach", str(worktree), BASELINE_COMMIT],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-        )
-        if added.returncode != 0:
-            return {}
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-c", _PRE_PR_SCRIPT, str(FUZZ_LENGTH),
-                 str(REPEATS), str(MIXED_OBJECTS), str(MIXED_ROUNDS)],
-                cwd=worktree, capture_output=True, text=True, timeout=1800,
-                env={"PYTHONPATH": str(worktree / "src"), "PATH": "/usr/bin:/bin"},
-            )
-            if proc.returncode != 0:
-                return {}
-            return json.loads(proc.stdout.strip().splitlines()[-1])
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(worktree)],
-                cwd=REPO_ROOT, capture_output=True,
-            )
-
-
-def test_hotpath_before_after():
-    after_fuzz = _fuzz_rate(before=False)
-    toggle_fuzz = _fuzz_rate(before=True)
-    after_mixed = _mixed_rate(before=False)
-    toggle_mixed = _mixed_rate(before=True)
-    pre_pr = _measure_pre_pr()
+def test_hotpath():
+    fuzz = fuzz_commands_per_probe(reference_work, FUZZ_SEEDS, FUZZ_LENGTH, REPEATS)
+    mixed = measure_mixed_workload(n_objects=MIXED_OBJECTS, rounds=MIXED_ROUNDS)
+    matcher = matcher_speedup(MIXED_OBJECTS, MATCHER_REPEATS)
 
     payload = {
         "fuzz": {
             "length": FUZZ_LENGTH,
             "sequences": len(FUZZ_SEEDS),
             "repeats": REPEATS,
-            "after_commands_per_sec": round(after_fuzz, 1),
-            "toggle_before_commands_per_sec": round(toggle_fuzz, 1),
-            "toggle_speedup": round(after_fuzz / toggle_fuzz, 2),
+            "after_commands_per_sec": round(fuzz["commands_per_sec"], 1),
+            "after_commands_per_probe": round(fuzz["commands_per_probe"], 3),
         },
         "mixed": {
             "n_objects": MIXED_OBJECTS,
             "rounds": MIXED_ROUNDS,
-            "after": after_mixed,
-            "toggle_before": toggle_mixed,
-            "toggle_speedup_incremental": round(
-                after_mixed["incremental_ops_per_sec"]
-                / toggle_mixed["incremental_ops_per_sec"], 2),
-            "toggle_speedup_baseline_evaluator": round(
-                after_mixed["baseline_ops_per_sec"]
-                / toggle_mixed["baseline_ops_per_sec"], 2),
+            "after": {
+                "incremental_ops_per_sec": round(mixed["incremental"]["ops_per_sec"]),
+                "baseline_ops_per_sec": round(mixed["baseline"]["ops_per_sec"]),
+            },
         },
-        # floors enforced by tests/test_bench_smoke.py::test_hotpath_floor
-        # on every tier-1 run (ratios are machine-independent; the absolute
-        # floor only catches structural collapse)
-        "floors": {
-            "fuzz_commands_per_sec_min": 150,
-            "fuzz_toggle_speedup_min": 1.3,
-            "mixed_compiled_vs_interpreted_min": 0.95,
+        "matcher": {
+            "n_objects": MIXED_OBJECTS,
+            "repeats": MATCHER_REPEATS,
+            "compiled_ms": matcher["compiled_ms"],
+            "interpreted_ms": matcher["interpreted_ms"],
+            "compiled_vs_interpreted_speedup": round(matcher["speedup"], 2),
         },
+        "floors": FLOORS,
+        "pre_pr": PRE_PR,
     }
-    if pre_pr:
-        payload["pre_pr"] = dict(pre_pr, commit=BASELINE_COMMIT)
-        payload["fuzz"]["speedup_vs_pre_pr"] = round(
-            after_fuzz / pre_pr["fuzz_commands_per_sec"], 2
-        )
-        payload["mixed"]["speedup_vs_pre_pr_incremental"] = round(
-            after_mixed["incremental_ops_per_sec"]
-            / pre_pr["mixed_incremental_ops_per_sec"], 2)
-        payload["mixed"]["speedup_vs_pre_pr_baseline_evaluator"] = round(
-            after_mixed["baseline_ops_per_sec"]
-            / pre_pr["mixed_baseline_ops_per_sec"], 2)
-
     write_bench_json("hotpath", payload, target=BENCH_JSON)
 
     rows = [
-        ("fuzz (cmd/s)", f"{toggle_fuzz:.0f}", f"{after_fuzz:.0f}",
-         f"{after_fuzz / toggle_fuzz:.2f}x"),
-        ("mixed incremental (ops/s)",
-         toggle_mixed["incremental_ops_per_sec"],
-         after_mixed["incremental_ops_per_sec"],
-         f"{payload['mixed']['toggle_speedup_incremental']:.2f}x"),
-        ("mixed baseline-eval (ops/s)",
-         toggle_mixed["baseline_ops_per_sec"],
-         after_mixed["baseline_ops_per_sec"],
-         f"{payload['mixed']['toggle_speedup_baseline_evaluator']:.2f}x"),
+        ("fuzz (cmd/s)", f"{fuzz['commands_per_sec']:.0f}"),
+        ("fuzz (cmd per reference_work)", f"{fuzz['commands_per_probe']:.2f}"),
+        ("mixed incremental (ops/s)", payload["mixed"]["after"]["incremental_ops_per_sec"]),
+        ("mixed baseline-eval (ops/s)", payload["mixed"]["after"]["baseline_ops_per_sec"]),
+        ("select matcher, compiled vs interpreted", f"{matcher['speedup']:.2f}x"),
     ]
-    if pre_pr:
-        rows.append(
-            ("fuzz vs pre-PR (cmd/s)", pre_pr["fuzz_commands_per_sec"],
-             f"{after_fuzz:.0f}", f"{payload['fuzz']['speedup_vs_pre_pr']:.2f}x")
-        )
-        rows.append(
-            ("mixed incr vs pre-PR (ops/s)",
-             pre_pr["mixed_incremental_ops_per_sec"],
-             after_mixed["incremental_ops_per_sec"],
-             f"{payload['mixed']['speedup_vs_pre_pr_incremental']:.2f}x")
-        )
     write_report(
         "hotpath",
-        "Hot-path before/after (compiled predicates, batched updates, "
-        "bulk sweeps)",
-        format_table(["workload", "before", "after", "speedup"], rows),
+        "Hot-path throughput (compiled predicates, batched updates, bulk sweeps)",
+        format_table(["workload", "measured"], rows)
+        + "\n\nFrozen history (not re-measured): the pre-compilation commit "
+        f"fuzzed at {PRE_PR['fuzz_commands_per_sec']} cmd/s, the toggled-off "
+        f"configuration at {PRE_PR['toggle_before']['fuzz_commands_per_sec']} "
+        f"cmd/s, the shipped path at {PRE_PR['after']['fuzz_commands_per_sec']} "
+        "cmd/s on the same machine.",
     )
 
-    # the toggled-off configuration must never win: compilation and
-    # batching have to pay for themselves on the paths they target
-    assert after_fuzz > toggle_fuzz
-    assert (
-        after_mixed["baseline_ops_per_sec"]
-        >= toggle_mixed["baseline_ops_per_sec"] * 0.95
-    )
+    assert fuzz["commands_per_sec"] >= FLOORS["fuzz_commands_per_sec_min"], fuzz
+    assert matcher["speedup"] >= FLOORS["matcher_compiled_vs_interpreted_min"], matcher

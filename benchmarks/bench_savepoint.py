@@ -10,7 +10,8 @@ times, best-of-``REPEATS`` (:func:`repro.workloads.savepoint.measure_savepoint`)
 * a one-op committed batch (one ``set``);
 * a one-op rejected batch (the ``set``, then a delete of a never-allocated
   OID: the batch works, then rolls back);
-* the same ``set`` with ``batched=False`` (no savepoint at all).
+* the same ``set`` as a direct ``db.engine.set_values`` call (no
+  savepoint at all).
 
 Asserted:
 
@@ -81,7 +82,7 @@ def test_savepoint_cost_is_flat_in_database_size():
     body = (
         f"Best-of-{REPEATS} milliseconds for a one-op `apply_many` committed, "
         "the same op rejected (rolled back through the undo log), and the "
-        "same update with `batched=False` (no savepoint):\n\n"
+        "same update as a direct `db.engine.set_values` call (no savepoint):\n\n"
         + format_table(
             [
                 "scale (objects)",

@@ -33,7 +33,9 @@ DEFAULT_THRESHOLD = 0.20
 #: metric-name suffixes/fragments where *lower* is better (latencies, sizes)
 LOWER_IS_BETTER = ("_ms", "_s", "_bytes", "log_bytes")
 #: fragments where *higher* is better (throughputs, ratios, speedups)
-HIGHER_IS_BETTER = ("per_s", "per_sec", "speedup", "hit_ratio", "throughput")
+HIGHER_IS_BETTER = (
+    "per_s", "per_sec", "per_probe", "speedup", "hit_ratio", "throughput"
+)
 #: subtrees that are configuration or provenance, not measurements
 SKIP_KEYS = ("meta", "floors", "pre_pr")
 

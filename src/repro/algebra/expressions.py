@@ -51,8 +51,7 @@ class Predicate:
         The compiled function has exactly the semantics of :meth:`matches`
         — same results, same exceptions, same evaluation order — but pays
         no per-node call overhead.  Node types the compiler does not know
-        fall back to the bound interpreter, and the global switch
-        ``REPRO_COMPILED_PREDICATES=0`` disables lowering entirely; see
+        fall back to the bound interpreter; see
         :mod:`repro.algebra.compiler`.
         """
         from repro.algebra.compiler import compile_predicate

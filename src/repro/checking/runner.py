@@ -210,17 +210,9 @@ class DifferentialHarness:
         self.apps: Dict[int, Tuple[str, int]] = {}
         self.step = 0
         self.outcomes: List[Tuple[int, str, str]] = []
-        # the equivalence sweep normally reads each view in bulk (one
-        # latched read per view, schema-derived plans cached across
-        # steps); False falls back to the historical accessor-at-a-time
-        # sweep — kept for the hot-path benchmark's "before" mode and as
-        # a cross-check of the bulk reader itself
-        self.bulk_sweep = True
+        # the equivalence sweep reads each view in bulk (one latched read
+        # per view); schema-derived dump plans are cached across steps
         self._dump_plans: Dict[tuple, list] = {}
-        # batched=False routes apply_many through the legacy per-update
-        # path (per-update WAL commits, no atomicity) — the benchmark's
-        # "before" mode
-        self.batched = True
         # sweep memo: commands that provably changed nothing observable
         # (read-only selects, rejected updates) reuse the previous sweep's
         # verdict.  The key covers both sides' change counters plus a
@@ -945,11 +937,9 @@ class DifferentialHarness:
             # rejection comes last, so every update before it has run
             specs.append(("delete", {"oids": [_NEVER_ALLOCATED]}))
             oracle_fns.append(_reject_never_allocated)
-        if not self.batched:
-            return self._apply_many_legacy(specs, oracle_fns)
         entry = database_to_dict(self.db)
         try:
-            results = self.db.apply_many(specs, batched=self.batched)
+            results = self.db.apply_many(specs)
         except TseError as exc:
             shadow = self.model.clone_for_updates()
             try:
@@ -978,41 +968,6 @@ class DifferentialHarness:
                     f"#{index}: {exc}",
                 )
         return "applied"
-
-    def _apply_many_legacy(
-        self, specs: List[tuple], oracle_fns: List[Callable]
-    ) -> str:
-        """Before-mode batch: one update at a time, outcomes checked per
-        item (``batched=False`` has no atomicity, so a rejected update
-        leaves the already-applied prefix in place on both sides)."""
-        rejected = 0
-        for index, (spec, fn) in enumerate(zip(specs, oracle_fns)):
-            try:
-                value = self.db.apply_many([spec], batched=False)[0]
-            except TseError as exc:
-                shadow = self.model.clone_for_updates()
-                try:
-                    fn(shadow, f"batch-dummy-{index}")
-                except OracleReject:
-                    rejected += 1
-                    continue
-                raise Divergence(
-                    "outcome",
-                    "apply_many",
-                    self.step,
-                    f"real rejected update #{index} "
-                    f"({type(exc).__name__}: {exc}), oracle applied it",
-                )
-            try:
-                fn(self.model, value)
-            except OracleReject as exc:
-                raise Divergence(
-                    "outcome",
-                    "apply_many",
-                    self.step,
-                    f"real applied update #{index}, oracle rejected it: {exc}",
-                )
-        return "rejected" if rejected else "applied"
 
     def _prep_batch_item(self, command: Command):
         """Resolve one batch update into ``(engine_spec, oracle_fn)``.
@@ -1454,13 +1409,10 @@ class DifferentialHarness:
     def _check_equivalence(self, op: str) -> None:
         """Compare every observable of every view against the oracle.
 
-        The bulk sweep (default) reads each view through one
-        ``ViewHandle.dump()`` — a single latched resolution per view — and
-        compares the result; the slow sweep walks the per-call accessor
-        surface (one handle call per observable, one ``get_object`` per
-        member).  Both check the same observables; the slow path survives
-        as the hot-path benchmark's "before" mode and as a cross-check
-        that the bulk reader answers exactly what the accessors do.
+        Each view is read through one ``ViewHandle.dump()`` — a single
+        latched resolution per view.  ``tests/test_handles.py`` pins
+        ``dump()`` to the per-call accessor surface step by step over fuzz
+        seeds and corpus entries.
         """
         def div(what: str, detail: str):
             raise Divergence(f"observe:{what}", op, self.step, detail)
@@ -1477,7 +1429,7 @@ class DifferentialHarness:
             self.db.pool.generation,
             self.model.mutations,
         )
-        if self.bulk_sweep and state_key == self._last_sweep_key:
+        if state_key == self._last_sweep_key:
             return
 
         real_views = sorted(self.db.view_names())
@@ -1488,38 +1440,29 @@ class DifferentialHarness:
         if real_rows != oracle_rows:
             div("lifecycle", f"real {real_rows!r} != oracle {oracle_rows!r}")
         for view in real_views:
-            handle = self.db.view(view)
-            if self.bulk_sweep:
-                dump = handle.dump(self._dump_plans)
-                oracle_dump = self.model.dump(view)
-                if (
-                    dump["version"] == oracle_dump["version"]
-                    and sorted(dump["classes"]) == oracle_dump["classes"]
-                    and dump["by_class"] == oracle_dump["by_class"]
-                    and self._closure(dump["edges"]) == self.model.anc_pairs(view)
-                ):
-                    continue  # everything agrees; skip the drill-down
-                real_classes = sorted(dump["classes"])
-                real_version = dump["version"]
-                real_edges = dump["edges"]
-            else:
-                dump = None
-                real_classes = sorted(handle.class_names())
-                real_version = handle.version
-                real_edges = handle.edges()
+            dump = self.db.view(view).dump(self._dump_plans)
+            oracle_dump = self.model.dump(view)
+            if (
+                dump["version"] == oracle_dump["version"]
+                and sorted(dump["classes"]) == oracle_dump["classes"]
+                and dump["by_class"] == oracle_dump["by_class"]
+                and self._closure(dump["edges"]) == self.model.anc_pairs(view)
+            ):
+                continue  # everything agrees; skip the drill-down
+            real_classes = sorted(dump["classes"])
             if real_classes != self.model.class_names(view):
                 div(
                     "classes",
                     f"{view!r}: real {real_classes} != oracle "
                     f"{self.model.class_names(view)}",
                 )
-            if real_version != self.model.version(view):
+            if dump["version"] != self.model.version(view):
                 div(
                     "version",
-                    f"{view!r}: real v{real_version} != oracle "
+                    f"{view!r}: real v{dump['version']} != oracle "
                     f"v{self.model.version(view)}",
                 )
-            real_pairs = self._closure(real_edges)
+            real_pairs = self._closure(dump["edges"])
             oracle_pairs = self.model.anc_pairs(view)
             if real_pairs != oracle_pairs:
                 div(
@@ -1529,20 +1472,11 @@ class DifferentialHarness:
                     f"{sorted(oracle_pairs - real_pairs)}",
                 )
             for cls in real_classes:
-                if dump is not None:
-                    entry = dump["by_class"][cls]
-                    real_attrs = entry["attributes"]
-                    real_methods = entry["methods"]
-                    real_extent = entry["extent"]
-                    real_count = entry["count"]
-                    real_objects = entry["objects"]
-                else:
-                    cls_handle = handle[cls]
-                    real_attrs = sorted(cls_handle.attribute_names())
-                    real_methods = sorted(cls_handle.method_names())
-                    real_extent = sorted(cls_handle.extent_oids())
-                    real_count = cls_handle.count()
-                    real_objects = None
+                entry = dump["by_class"][cls]
+                real_attrs = entry["attributes"]
+                real_methods = entry["methods"]
+                real_extent = entry["extent"]
+                real_count = entry["count"]
                 if real_attrs != self.model.attribute_names(view, cls):
                     div(
                         "attributes",
@@ -1567,10 +1501,7 @@ class DifferentialHarness:
                         f"{view!r}.{cls!r}: count {real_count} != {len(extent)}",
                     )
                 for oid in extent:
-                    if real_objects is not None:
-                        real_values = real_objects[oid]
-                    else:
-                        real_values = cls_handle.get_object(oid).values()
+                    real_values = entry["objects"][oid]
                     oracle_values = self.model.object_values(view, cls, oid)
                     if real_values != oracle_values:
                         div(

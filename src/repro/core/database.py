@@ -347,7 +347,6 @@ class TseDatabase:
         self,
         view_name: str,
         updates: Sequence[Mapping[str, object]],
-        batched: bool = True,
     ) -> List[Dict[str, object]]:
         """Apply generic updates phrased in *view vocabulary* as one batch.
 
@@ -443,7 +442,7 @@ class TseDatabase:
                         },
                     )
                 )
-        results = self.apply_many(specs, batched=batched)
+        results = self.apply_many(specs)
         reports: List[Dict[str, object]] = []
         for (op, _kwargs), outcome in zip(specs, results):
             if op == "create":
@@ -638,7 +637,7 @@ class TseDatabase:
         return scope()
 
     def apply_many(
-        self, updates: Sequence[Tuple[str, Mapping[str, object]]], batched: bool = True
+        self, updates: Sequence[Tuple[str, Mapping[str, object]]]
     ) -> List[object]:
         """Apply a sequence of generic updates as one atomic batch.
 
@@ -664,9 +663,8 @@ class TseDatabase:
           rollback costs O(batch), not O(database) — and re-raises:
           all-or-nothing, matching what recovery replays.
 
-        ``batched=False`` applies the updates one by one with per-update
-        journaling and no atomicity — the pre-batching behaviour, kept for
-        equivalence tests and the before/after benchmarks.
+        A single update outside any batch is a direct :attr:`engine` call:
+        one WAL record and barrier of its own, no savepoint.
         """
         from contextlib import nullcontext
 
@@ -690,10 +688,6 @@ class TseDatabase:
                 )
             calls.append((fn, dict(kwargs)))
         results: List[object] = []
-        if not batched:
-            for fn, kwargs in calls:
-                results.append(fn(**kwargs))
-            return results
         latch = (
             self._sessions.latch.read() if self._sessions is not None else nullcontext()
         )

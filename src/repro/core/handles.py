@@ -564,7 +564,7 @@ class ViewClassHandle:
                 (oid for oid in candidates if oid in extent), key=_OID_VALUE
             )
         matched = []
-        matches = compilermod.matcher(predicate)
+        matches = compilermod.compile_predicate(predicate)
         global_name = self.global_name
         make_reader = self._db.evaluator.plans.reader
         # predicates speak view vocabulary: translate each attribute's

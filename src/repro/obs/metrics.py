@@ -166,7 +166,9 @@ class Gauge:
 class Histogram:
     """Fixed-boundary bucketed distribution of observed values."""
 
-    __slots__ = ("name", "help", "labels", "buckets", "counts", "sum", "count", "_lock")
+    __slots__ = (
+        "name", "help", "labels", "buckets", "counts", "sum", "count", "max", "_lock"
+    )
 
     def __init__(
         self,
@@ -184,6 +186,8 @@ class Histogram:
         self.counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
         self.sum = 0.0
         self.count = 0
+        #: largest observation: the answer for ranks past the last bound
+        self.max = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -199,26 +203,32 @@ class Histogram:
             self.sum += value
             self.count += 1
             self.counts[index] += 1
+            if value > self.max:
+                self.max = value
 
     def reset(self) -> None:
         with self._lock:
             self.counts = [0] * (len(self.buckets) + 1)
             self.sum = 0.0
             self.count = 0
+            self.max = 0.0
 
     def quantile(self, q: float) -> float:
         """Streaming quantile interpolated from bucket boundaries.
 
         The ``histogram_quantile`` construction: find the bucket the rank
-        falls in, interpolate linearly inside it.  Observations beyond the
-        last finite bound clamp to that bound (there is no upper edge to
-        interpolate towards)."""
+        falls in, interpolate linearly inside it.  A rank in the ``+Inf``
+        bucket has no upper edge to interpolate towards; it reports the
+        largest observation instead of the last finite bound."""
         with self._lock:
             counts = list(self.counts)
             total = self.count
-        return self._quantile_from(q, counts, total)
+            largest = self.max
+        return self._quantile_from(q, counts, total, largest)
 
-    def _quantile_from(self, q: float, counts: List[int], total: int) -> float:
+    def _quantile_from(
+        self, q: float, counts: List[int], total: int, largest: float
+    ) -> float:
         if total <= 0:
             return 0.0
         rank = q * total
@@ -232,13 +242,14 @@ class Histogram:
                 return lower + (bound - lower) * fraction
             cumulative += bucket_count
             lower = bound
-        return self.buckets[-1]
+        return largest
 
     def as_dict(self) -> Dict[str, object]:
         with self._lock:
             counts = list(self.counts)
             total = self.count
             observed_sum = self.sum
+            largest = self.max
         cumulative = 0
         buckets = {}
         for bound, bucket_count in zip(self.buckets, counts):
@@ -249,9 +260,9 @@ class Histogram:
             "count": total,
             "sum": round(observed_sum, 6),
             "buckets": buckets,
-            "p50": round(self._quantile_from(0.5, counts, total), 6),
-            "p95": round(self._quantile_from(0.95, counts, total), 6),
-            "p99": round(self._quantile_from(0.99, counts, total), 6),
+            "p50": round(self._quantile_from(0.5, counts, total, largest), 6),
+            "p95": round(self._quantile_from(0.95, counts, total, largest), 6),
+            "p99": round(self._quantile_from(0.99, counts, total, largest), 6),
         }
 
 

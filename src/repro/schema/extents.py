@@ -298,18 +298,18 @@ class ExtentEvaluator:
         #: pre-resolved attribute read plans (shared by all select rechecks)
         self.plans = ReaderPlans(schema, pool)
         #: select class -> row matcher ``fn(oid) -> bool``, valid for one
-        #: (schema generation, compiler toggle epoch) pair
+        #: schema generation
         self._matchers: Dict[str, Callable[[Oid], bool]] = {}
-        self._matchers_key: Tuple[int, int] = (-1, -1)
+        self._matchers_generation = -1
 
     def _matcher(self, class_name: str, predicate, source: str) -> Callable[[Oid], bool]:
         """The OID-level evaluator for one select class's predicate —
-        row-compiled when possible, reader-based interpreter otherwise;
+        row-compiled when possible, compiled over per-object readers otherwise;
         cached because derivations are immutable per generation."""
-        key = (self.schema.generation, compilermod.compilation_epoch())
-        if key != self._matchers_key:
+        generation = self.schema.generation
+        if generation != self._matchers_generation:
             self._matchers.clear()
-            self._matchers_key = key
+            self._matchers_generation = generation
         fn = self._matchers.get(class_name)
         if fn is None:
             plans = self.plans

@@ -65,15 +65,20 @@ class ViewSchemaGenerator:
                 chosen |= missing
             edges = tuple(self.schema.transitive_reduction_over(chosen))
             span.set(classes=len(chosen), edges=len(edges))
+            renames = dict(renames or {})
+            # property renames are keyed by view class name; a class that
+            # left the view takes its renames with it
+            view_classes = {renames.get(cls, cls) for cls in chosen}
             return ViewSchema(
                 name=name,
                 version=version,
                 selected=frozenset(chosen),
-                renames=dict(renames or {}),
+                renames=renames,
                 edges=edges,
                 property_renames={
                     cls: dict(per_cls)
                     for cls, per_cls in (property_renames or {}).items()
+                    if cls in view_classes
                 },
                 provenance=provenance,
             )

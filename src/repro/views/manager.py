@@ -86,16 +86,11 @@ class ViewManager:
         renames.pop(global_name, None)
         if not selected:
             raise ViewError(f"removing {view_class!r} would empty view {name!r}")
-        property_renames = {
-            cls: dict(per_cls)
-            for cls, per_cls in current.property_renames.items()
-            if cls != view_class
-        }
         return self.register_successor(
             name,
             selected,
             renames,
-            property_renames,
+            current.property_renames,
             closure="ignore",
             provenance=provenance,
         )

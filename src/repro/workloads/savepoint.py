@@ -9,8 +9,8 @@ population:
 * a one-op **rejected** ``apply_many`` — the same ``set``, then a delete
   of an OID that was never allocated, so the batch does its work and
   rolls back;
-* the same ``set`` through ``apply_many(batched=False)``, which opens no
-  savepoint — the floor a one-op batch is compared against.
+* the same ``set`` as a direct ``db.engine.set_values`` call, which opens
+  no savepoint — the floor a one-op batch is compared against.
 
 Each is the best of ``repeats`` timed calls, in milliseconds.
 """
@@ -67,11 +67,11 @@ def measure_savepoint(scale: int, repeats: int = 15) -> Dict[str, float]:
     target = sorted(db.evaluator.extent("Person"))[len(db.pool.all_oids()) // 2]
     never_allocated = Oid(0)
 
+    def set_kwargs(k: int):
+        return {"oids": [target], "class_name": "Person", "assignments": {"age": k}}
+
     def one_set(k: int):
-        return (
-            "set",
-            {"oids": [target], "class_name": "Person", "assignments": {"age": k}},
-        )
+        return ("set", set_kwargs(k))
 
     def commit(k: int) -> None:
         db.apply_many([one_set(k)])
@@ -84,7 +84,7 @@ def measure_savepoint(scale: int, repeats: int = 15) -> Dict[str, float]:
         raise AssertionError("the rejected batch committed")
 
     def unbatched(k: int) -> None:
-        db.apply_many([one_set(k)], batched=False)
+        db.engine.set_values(**set_kwargs(k))
 
     for fn in (commit, abort, unbatched):  # warm plans and caches
         fn(0)

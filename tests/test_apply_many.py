@@ -51,13 +51,18 @@ class TestBatchSemantics:
         assert set(oids) == set(db.evaluator.extent("Person"))
 
     def test_batch_equals_one_by_one(self):
-        """The batched path and the legacy per-update path reach the same
-        observable state (modulo OID allocation, which is deterministic)."""
+        """One batch, one-op batches and direct engine calls reach the
+        same observable state (OID allocation is deterministic)."""
         batched = _university()
         batched.apply_many(BATCH)
-        legacy = _university()
-        legacy.apply_many(BATCH, batched=False)
-        assert _observable(batched) == _observable(legacy)
+        one_op = _university()
+        for update in BATCH:
+            one_op.apply_many([update])
+        direct = _university()
+        for _op, kwargs in BATCH:
+            direct.engine.create(**kwargs)
+        assert _observable(batched) == _observable(one_op)
+        assert _observable(batched) == _observable(direct)
 
     def test_mixed_ops_thread_through_the_engine(self):
         db = _university()
@@ -92,13 +97,7 @@ class TestAtomicity:
             db.apply_many(BATCH + [("create", {"class_name": "Nope"})])
         assert _observable(db) == before
         assert db.evaluator.extent("Person") == frozenset()
-        # the legacy path, by contrast, leaves the prefix applied
-        db2 = _university()
-        with pytest.raises(UnknownClass):
-            db2.apply_many(
-                BATCH + [("create", {"class_name": "Nope"})], batched=False
-            )
-        assert len(db2.evaluator.extent("Person")) == 3
+        assert db.store.oid_next == before_oid
 
     def test_rollback_with_wal_attached_discards_the_group_commit(self, tmp_path):
         db = _university()
@@ -115,13 +114,14 @@ class TestAtomicity:
 class TestWalReplay:
     def test_recovery_replays_a_batch_to_the_one_by_one_state(self, tmp_path):
         """One committed group-commit record recovers to exactly the state
-        that per-update journaling recovers to."""
+        that per-update journaling (direct engine calls) recovers to."""
         grouped = _university()
         grouped.enable_wal(str(tmp_path / "grouped"))
         grouped.apply_many(BATCH)
         perop = _university()
         perop.enable_wal(str(tmp_path / "perop"))
-        perop.apply_many(BATCH, batched=False)
+        for _op, kwargs in BATCH:
+            perop.engine.create(**kwargs)
 
         r_grouped = TseDatabase.recover(str(tmp_path / "grouped"))
         r_perop = TseDatabase.recover(str(tmp_path / "perop"))
@@ -137,9 +137,11 @@ class TestWalReplay:
         db2 = _university()
         db2.enable_wal(str(tmp_path / "wal2"))
         before2 = db2.wal.lsn
-        db2.apply_many(BATCH, batched=False)
+        for update in BATCH:
+            db2.apply_many([update])
+        assert grouped_records == 1
         assert grouped_records < db2.wal.lsn - before2, (
-            "group commit should write fewer records than per-update journaling"
+            "group commit should write fewer records than per-update commits"
         )
 
 

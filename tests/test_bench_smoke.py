@@ -8,7 +8,6 @@ benchmark's (CI machines are noisy); the full run asserts the real >=5x.
 """
 
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -39,79 +38,36 @@ def test_mixed_workload_smoke():
 
 @pytest.mark.bench_smoke
 def test_hotpath_floor():
-    """The hot-path speedups hold above the floors stored next to the
-    measurements in ``BENCH_hotpath.json`` (written by
-    ``benchmarks/bench_hotpath.py``).
+    """The hot path holds the floors stored next to the measurements in
+    ``BENCH_hotpath.json`` (written by ``benchmarks/bench_hotpath.py``).
 
-    The primary guards are *ratios* measured before/after in this very
-    process — machine-independent, so a slow CI runner cannot fake a
-    regression and a fast one cannot hide it:
+    Both primary guards are machine-independent:
 
-    * fuzz throughput with compiled predicates + bulk sweeps + batching
-      vs the toggled-off configuration must stay above
-      ``fuzz_toggle_speedup_min``;
-    * the mixed workload with compiled predicates must not lose to the
-      interpreter (``mixed_compiled_vs_interpreted_min``).
+    * ``fuzz_commands_per_probe_min`` — fuzz commands per run of
+      ``tsebench/probe.reference_work``, both timed in this process, so a
+      slow CPU slows both sides of the figure alike;
+    * ``matcher_compiled_vs_interpreted_min`` — row-compiled select
+      matchers against ``Predicate.matches`` over the same readers, timed
+      side by side on the mixed workload's select classes.
 
     A loose absolute floor (``fuzz_commands_per_sec_min``) additionally
-    catches structural collapse (an accidental quadratic) that a ratio
-    would cancel out.
+    catches structural collapse on any machine.
     """
-    from repro.algebra import compiler
-    from repro.checking.commands import CommandGenerator
-    from repro.checking.runner import DifferentialHarness
+    from repro.workloads.hotpath import fuzz_commands_per_probe, matcher_speedup
+    from tsebench.probe import reference_work
 
     floors = json.loads(BENCH_HOTPATH.read_text())["hotpath"]["floors"]
 
-    def fuzz_rate(before: bool) -> float:
-        compiler.set_compilation(not before)
-        try:
-            seeds, length = range(50, 56), 15
+    fuzz = fuzz_commands_per_probe(reference_work, range(50, 56), 15, rounds=7)
+    assert fuzz["commands_per_sec"] >= floors["fuzz_commands_per_sec_min"], (
+        fuzz, floors)
+    assert fuzz["commands_per_probe"] >= floors["fuzz_commands_per_probe_min"], (
+        fuzz, floors)
 
-            def sweep():
-                total = 0
-                for seed in seeds:
-                    commands = CommandGenerator(seed).generate(length)
-                    harness = DifferentialHarness()
-                    if before:
-                        harness.bulk_sweep = False
-                        harness.batched = False
-                    try:
-                        for command in commands:
-                            harness.apply(command)
-                    finally:
-                        harness.close()
-                    total += len(commands)
-                return total
-
-            sweep()  # warm-up
-            start = time.perf_counter()
-            n = sweep()
-            return n / (time.perf_counter() - start)
-        finally:
-            compiler.set_compilation(True)
-
-    after = fuzz_rate(before=False)
-    toggled = fuzz_rate(before=True)
-    assert after >= floors["fuzz_commands_per_sec_min"], (after, floors)
-    assert after / toggled >= floors["fuzz_toggle_speedup_min"], (
-        f"compiled+bulk+batched fuzzing at {after:.0f} cmd/s is only "
-        f"{after / toggled:.2f}x the toggled-off {toggled:.0f} cmd/s "
-        f"(floor {floors['fuzz_toggle_speedup_min']}x)"
-    )
-
-    compiler.set_compilation(False)
-    try:
-        interpreted = measure_mixed_workload(n_objects=60, rounds=80)
-    finally:
-        compiler.set_compilation(True)
-    compiled = measure_mixed_workload(n_objects=60, rounds=80)
-    ratio = (
-        compiled["baseline"]["ops_per_sec"]
-        / interpreted["baseline"]["ops_per_sec"]
-    )
-    assert ratio >= floors["mixed_compiled_vs_interpreted_min"], (
-        f"compiled predicates made the mixed workload slower ({ratio:.2f}x)"
+    matcher = matcher_speedup(n_objects=200, repeats=20)
+    assert matcher["speedup"] >= floors["matcher_compiled_vs_interpreted_min"], (
+        f"row-compiled select matchers are slower than the interpreter: "
+        f"{matcher}"
     )
 
 

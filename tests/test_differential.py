@@ -359,3 +359,21 @@ def test_add_class_under_difference_bound_superclass_keeps_edge():
 
     edges = {(sup, sub) for sup, sub in db.view("V").edges()}
     assert ("K1", "C17") in edges
+
+
+def test_delete_class_2_drops_the_deleted_class_property_renames():
+    """Seed 196 of the deep fuzz: ``delete_class_2`` registered a successor
+    that still carried the deleted class's property renames, so a merge
+    pinning that version looked the stale key up and raised
+    ``UnknownClass``.  No version may carry renames for a class it does
+    not show."""
+    db = _db_with_hierarchy()
+    view = db.view("V")
+    view.rename_property("K2", "a", "b")
+    view.delete_class_2("K2")
+    for schema in db.views.history.versions_of("V"):
+        assert set(schema.property_renames) <= set(schema.class_names())
+    pinned = view.version
+    db.create_view("W", ["K1"], closure="ignore")
+    merged = db.merge_views("V", "W", "M", first_version=pinned)
+    assert "K2" not in merged.class_names()

@@ -160,3 +160,82 @@ class TestPropertyRenames:
         assert "headline" in view["Doc"].property_names()
         # the underlying name still resolves for unaliased access paths
         assert doc["title"] == "Hello"
+
+
+def _accessor_surface(handle) -> dict:
+    """What ``ViewHandle.dump()`` reports, rebuilt one accessor call at a
+    time (one ``get_object`` per extent member)."""
+    by_class = {}
+    for cls in handle.class_names():
+        cls_handle = handle[cls]
+        extent = sorted(cls_handle.extent_oids())
+        by_class[cls] = {
+            "attributes": sorted(cls_handle.attribute_names()),
+            "methods": sorted(cls_handle.method_names()),
+            "extent": extent,
+            "count": cls_handle.count(),
+            "objects": {oid: cls_handle.get_object(oid).values() for oid in extent},
+        }
+    return {
+        "version": handle.version,
+        "classes": sorted(handle.class_names()),
+        "edges": sorted(handle.edges()),
+        "by_class": by_class,
+    }
+
+
+def _assert_dump_matches_accessors(db, plans: dict) -> None:
+    for name in db.view_names():
+        current = db.view(name)
+        handles = [current] + [
+            current.pin(schema.version)
+            for schema in db.views.history.versions_of(name)
+        ]
+        for handle in handles:
+            dump = handle.dump(plans)
+            dump = dict(dump, classes=sorted(dump["classes"]),
+                        edges=sorted(dump["edges"]))
+            assert dump == _accessor_surface(handle), (name, handle.version)
+
+
+def _walk(commands) -> None:
+    """Apply ``commands`` through the differential harness and, after every
+    step, pin every view version's ``dump()`` to the accessor surface."""
+    from repro.checking.runner import DifferentialHarness
+
+    harness = DifferentialHarness()
+    plans: dict = {}
+    db = None
+    try:
+        for command in commands:
+            harness.apply(command)
+            if harness.db is not db:  # recovery swapped the database in
+                db, plans = harness.db, {}
+            _assert_dump_matches_accessors(db, plans)
+    finally:
+        harness.close()
+
+
+class TestDumpEqualsAccessors:
+    """``dump()`` is the differential sweep's only reader, so it must
+    answer exactly what the per-call accessors do — for every view,
+    version and class, after every step of real fuzz and corpus runs."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fuzz_sequences(self, seed):
+        from repro.checking.commands import CommandGenerator
+
+        _walk(CommandGenerator(seed).generate(15))
+
+    def test_corpus_entries(self):
+        from pathlib import Path
+
+        from repro.checking.minimize import load_corpus_entry
+
+        corpus = sorted(
+            (Path(__file__).parent / "corpus" / "differential").glob("*.json")
+        )
+        assert corpus
+        for path in corpus:
+            commands, _meta = load_corpus_entry(path)
+            _walk(commands)

@@ -177,9 +177,25 @@ class TestMetricsRegistry:
         assert 0.1 < data["p95"] <= 1.0
         assert 0.1 < data["p99"] <= 1.0
         assert hist.quantile(0.0) == 0.0 or hist.quantile(0.0) <= 0.1
-        # everything beyond the last finite bound clamps to that bound
         empty = registry.histogram("none", buckets=(0.1,))
         assert empty.quantile(0.5) == 0.0
+
+    def test_quantiles_past_the_top_bucket_report_the_largest_observation(self):
+        """A 10 s request must not read as p99 = 1 s because 1 s is the
+        last finite bucket bound."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("slow")
+        assert hist.buckets[-1] == 1.0
+        for _ in range(95):
+            hist.observe(0.01)
+        for _ in range(5):
+            hist.observe(10.0)
+        assert hist.quantile(0.99) > 1.0
+        assert registry.snapshot()["slow"]["p99"] == 10.0
+        assert hist.quantile(0.5) <= 0.01
+        hist.reset()
+        hist.observe(3.0)
+        assert hist.quantile(0.99) == 3.0
 
     def test_labeled_counter_families(self):
         registry = MetricsRegistry()

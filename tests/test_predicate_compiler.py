@@ -7,7 +7,7 @@ paths and readers that raise — the compiled form returns exactly what the
 with the same message.  Properties are asserted hypothesis-style over
 randomized ASTs, then pinned with directed cases for each lowering rule
 (comparator folding, ``IsIn`` interning, And/Or flattening, unknown-node
-fallback, the row form's pre-bound column readers, and the global toggle).
+fallback, the row form's pre-bound column readers).
 """
 
 from __future__ import annotations
@@ -205,40 +205,27 @@ class TestLoweringRules:
         assert seen == [7], "fallback must evaluate through the per-object reader"
 
 
-class TestToggle:
-    def test_matcher_respects_runtime_toggle(self):
-        pred = Compare("age", ">=", 21)
-        was = compiler.compilation_enabled()
-        epoch = compiler.compilation_epoch()
-        try:
-            compiler.set_compilation(False)
-            assert compiler.matcher(pred) == pred.matches
-            assert compiler.compilation_epoch() != epoch
-            compiler.set_compilation(True)
-            assert compiler.matcher(pred) is compiler.compile_predicate(pred)
-        finally:
-            compiler.set_compilation(was)
-
+class TestEvaluatorsAgree:
     def test_select_extents_identical_under_both_evaluators(self):
-        from repro.workloads.extent_maintenance import (
-            WORKLOAD_CLASSES,
-            build_select_workload,
-        )
+        """Every select extent the evaluator serves through row-compiled
+        matchers equals the interpreter's ``matches`` over the same
+        per-object readers."""
+        from repro.workloads.extent_maintenance import build_select_workload
 
-        was = compiler.compilation_enabled()
-        try:
-            compiler.set_compilation(True)
-            db_on, _ = build_select_workload(40)
-            on = {c: db_on.evaluator.extent(c) for c in WORKLOAD_CLASSES}
-            compiler.set_compilation(False)
-            db_off, _ = build_select_workload(40)
-            off = {c: db_off.evaluator.extent(c) for c in WORKLOAD_CLASSES}
-        finally:
-            compiler.set_compilation(was)
-        as_values = lambda extents: {
-            c: sorted(o.value for o in members) for c, members in extents.items()
-        }
-        assert as_values(on) == as_values(off)
+        db, _ = build_select_workload(40)
+        evaluator = db.evaluator
+        selects = [
+            cls for cls in db.schema.virtual_classes()
+            if cls.derivation.op == "select"
+        ]
+        assert selects
+        for cls in selects:
+            der = cls.derivation
+            interpreted = {
+                oid for oid in evaluator.extent(der.source)
+                if der.predicate.matches(evaluator.plans.reader(der.source, oid))
+            }
+            assert evaluator.extent(cls.name) == interpreted, cls.name
 
 
 def test_predicate_compile_method_is_the_compiler():
