@@ -43,7 +43,6 @@ Entry points:
 
 from __future__ import annotations
 
-import copy
 import os
 import random
 import shutil
@@ -347,11 +346,29 @@ class DifferentialHarness:
             f"real rejected ({type(real_err).__name__}: {real_err}), oracle applied",
         )
 
-    def _prepare(self, op: str, args: dict):
+    def _prepare(
+        self,
+        op: str,
+        args: dict,
+        view: Optional[str] = None,
+        version: Optional[int] = None,
+    ):
         """Resolve a command's blind indices against the oracle and return
         ``(real_fn, oracle_fn)``, or ``None`` when a reference cannot be
-        resolved (an agreed skip on both systems)."""
-        return getattr(self, f"_prep_{op}")(args)
+        resolved (an agreed skip on both systems).  A generic update goes
+        through ``view`` (default: resolved from ``view_i``) at
+        ``version`` (default: current)."""
+        if op not in UPDATE_OPS:
+            return getattr(self, f"_prep_{op}")(args)
+        if view is None:
+            view = self._r_view(args["view_i"])
+            if view is None:
+                return None
+        resolved = self._resolve_update(op, args, view, version)
+        if resolved is None:
+            return None
+        real, oracle = self._prep_update(op, view, resolved, version)
+        return real, lambda value: oracle(self.model, value)
 
     # -- index resolution (oracle observables are the address space) ----------
 
@@ -368,9 +385,6 @@ class DifferentialHarness:
 
     def _r_attr(self, view: str, cls: str, i) -> Optional[str]:
         return self._pick(self.model.attribute_names(view, cls), i)
-
-    def _r_oid(self, view: str, cls: str, i):
-        return self._pick(self.model.extent_oids(view, cls), i)
 
     # -- authoring ------------------------------------------------------------
 
@@ -420,103 +434,87 @@ class DifferentialHarness:
 
     # -- generic updates ------------------------------------------------------
 
-    def _prep_create(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
+    def _resolve_update(
+        self, op: str, args: dict, view: str, version: Optional[int] = None
+    ):
+        """Resolve one generic update's blind indices against the oracle's
+        bindings of ``view`` — the current version, or the pinned
+        ``version`` (class names, attribute aliases and extents as that
+        version sees them).  Returns ``(cls, src, oid, assignments)``:
+        ``cls`` is the class written (the destination of an ``add``),
+        ``src`` the class the object is reached through (``cls`` itself
+        except for ``add``), ``oid`` ``None`` for a ``create``.  ``None``
+        for an unresolvable reference (an agreed skip)."""
+        model = self.model
+        classes = model.class_names(view, version)
+        cls = self._pick(classes, args["cls_i"])
         if cls is None:
             return None
-        attrs = self.model.attribute_names(view, cls)
-        assigns: Dict[str, object] = {}
-        for i, value in args["assigns"]:
-            if attrs:
-                assigns[attrs[i % len(attrs)]] = value
-
-        def real():
-            return self.db.view(view)[cls].create(**assigns).oid
-
-        def oracle(oid):
-            self.model.create(view, cls, assigns, oid)
-
-        return real, oracle
-
-    def _prep_add(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        src = self._r_class(view, args["src_cls_i"])
-        dest = self._r_class(view, args["cls_i"])
-        if src is None or dest is None:
-            return None
-        oid = self._r_oid(view, src, args["obj_i"])
+        if op == "create":
+            attrs = model.attribute_names(view, cls, version)
+            assigns = {
+                attrs[i % len(attrs)]: value for i, value in args["assigns"] if attrs
+            }
+            return cls, cls, None, assigns
+        src = self._pick(classes, args["src_cls_i"]) if op == "add" else cls
+        oid = self._pick(model.extent_oids(view, src, version), args["obj_i"])
         if oid is None:
             return None
+        assigns = {}
+        if op == "set":
+            attr = self._pick(model.attribute_names(view, cls, version), args["attr_i"])
+            if attr is None:
+                return None
+            assigns = {attr: args["value"]}
+        return cls, src, oid, assigns
+
+    def _prep_update(
+        self, op: str, view: str, resolved: tuple, version: Optional[int] = None
+    ):
+        """``(real_fn, oracle_fn(model, value))`` for one resolved update.
+        The real side writes through ``db.view(view)`` (pinned at
+        ``version`` when given); the oracle side applies the same update
+        to whichever model it is handed (the live one, or a batch's
+        throwaway shadow)."""
+        cls, src, oid, assigns = resolved
+
+        def handle(name):
+            view_handle = self.db.view(view)
+            if version is not None:
+                view_handle = view_handle.pin(version)
+            return view_handle[name]
 
         def real():
-            self.db.view(view)[src].get_object(oid).add_to(dest)
+            if op == "create":
+                return handle(cls).create(**assigns).oid
+            obj = handle(src).get_object(oid)
+            if op == "add":
+                obj.add_to(cls)
+            elif op == "remove":
+                obj.remove_from(cls)
+            elif op == "set":
+                for name, value in assigns.items():
+                    obj.set(name, value)
+            else:
+                obj.delete()
 
-        def oracle(_value):
-            self.model.add(view, dest, oid)
-
-        return real, oracle
-
-    def _prep_remove(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        if oid is None:
-            return None
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).remove_from(cls)
-
-        def oracle(_value):
-            self.model.remove(view, cls, oid)
-
-        return real, oracle
-
-    def _prep_set(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        attr = self._r_attr(view, cls, args["attr_i"])
-        if oid is None or attr is None:
-            return None
-        value = args["value"]
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).set(attr, value)
-
-        def oracle(_value):
-            self.model.set_values(view, cls, oid, {attr: value})
-
-        return real, oracle
-
-    def _prep_delete(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        if oid is None:
-            return None
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).delete()
-
-        def oracle(_value):
-            self.model.delete(oid)
+        def oracle(model, value):
+            if op == "create":
+                model.create(view, cls, assigns, value, version=version)
+            elif op == "add":
+                model.add(view, cls, oid, version=version)
+            elif op == "remove":
+                model.remove(view, cls, oid, version=version)
+            elif op == "set":
+                model.set_values(view, cls, oid, assigns, version=version)
+            else:
+                model._check_writable(view, version)
+                # the engine rejects deleting a dead object (a batch that
+                # deletes one object twice rolls back); RefModel.delete is
+                # a silent no-op, so mirror the engine's liveness guard
+                if oid not in model.objects:
+                    raise OracleReject(f"object {oid!r} is already deleted")
+                model.delete(oid)
 
         return real, oracle
 
@@ -984,81 +982,22 @@ class DifferentialHarness:
         view = self._r_view(args["view_i"])
         if view is None:
             return None
-        if op == "create":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            attrs = self.model.attribute_names(view, cls)
-            assigns: Dict[str, object] = {}
-            for i, value in args["assigns"]:
-                if attrs:
-                    assigns[attrs[i % len(attrs)]] = value
-            handle = self.db.view(view)[cls]
-            translated = {
+        resolved = self._resolve_update(op, args, view)
+        if resolved is None:
+            return None
+        _, oracle = self._prep_update(op, view, resolved)
+        cls, _, oid, assigns = resolved
+        if op == "delete":
+            return ("delete", {"oids": [oid]}), oracle
+        handle = self.db.view(view)[cls]
+        kwargs: Dict[str, object] = {"class_name": handle.global_name}
+        if op != "create":
+            kwargs["oids"] = [oid]
+        if op in ("create", "set"):
+            kwargs["assignments"] = {
                 handle._underlying(name): value for name, value in assigns.items()
             }
-            spec = ("create", {"class_name": handle.global_name, "assignments": translated})
-            return spec, lambda model, value: model.create(view, cls, assigns, value)
-        if op == "add":
-            src = self._r_class(view, args["src_cls_i"])
-            dest = self._r_class(view, args["cls_i"])
-            if src is None or dest is None:
-                return None
-            oid = self._r_oid(view, src, args["obj_i"])
-            if oid is None:
-                return None
-            global_dest = self.db.view(view)[dest].global_name
-            spec = ("add", {"oids": [oid], "class_name": global_dest})
-            return spec, lambda model, _value: model.add(view, dest, oid)
-        if op == "remove":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            if oid is None:
-                return None
-            global_cls = self.db.view(view)[cls].global_name
-            spec = ("remove", {"oids": [oid], "class_name": global_cls})
-            return spec, lambda model, _value: model.remove(view, cls, oid)
-        if op == "set":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            attr = self._r_attr(view, cls, args["attr_i"])
-            if oid is None or attr is None:
-                return None
-            value = args["value"]
-            handle = self.db.view(view)[cls]
-            spec = (
-                "set",
-                {
-                    "oids": [oid],
-                    "class_name": handle.global_name,
-                    "assignments": {handle._underlying(attr): value},
-                },
-            )
-            return spec, lambda model, _value: model.set_values(
-                view, cls, oid, {attr: value}
-            )
-        if op == "delete":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            if oid is None:
-                return None
-
-            def oracle_delete(model, _value, _oid=oid):
-                # the engine rejects deleting a dead object (the whole
-                # batch rolls back); RefModel.delete is a silent no-op, so
-                # mirror the engine's liveness guard here
-                if _oid not in model.objects:
-                    raise OracleReject(f"object {_oid!r} is already deleted")
-                model.delete(_oid)
-
-            return ("delete", {"oids": [oid]}), oracle_delete
-        raise ValueError(f"unexpected batch op {op!r}")  # pragma: no cover
+        return (op, kwargs), oracle
 
     # ------------------------------------------------------------------
     # lazy-migration drains
@@ -1219,94 +1158,11 @@ class DifferentialHarness:
         if binding is None:
             return "skipped"
         view, version = binding
-        prep = self._prep_pinned_write(
-            view, version, command_from_dict(args["inner"])
-        )
+        inner = command_from_dict(args["inner"])
+        prep = self._prepare(inner.op, dict(inner.args), view, version)
         if prep is None:
             return "skipped"
         return self._two_sided("write_via_version", *prep)
-
-    def _prep_pinned_write(self, view: str, version: int, inner: Command):
-        """Resolve one update's blind indices against the oracle's bindings
-        *at the pinned version* (class names, attribute aliases, and extents
-        as that version sees them)."""
-        model = self.model
-        op, args = inner.op, dict(inner.args)
-        cls = self._pick(model.class_names(view, version), args.get("cls_i", 0))
-        if cls is None:
-            return None  # pragma: no cover - views are never empty
-        handle = lambda c: self.db.view(view).pin(version)[c]
-        if op == "create":
-            attrs = model.attribute_names(view, cls, version)
-            assigns: Dict[str, object] = {}
-            for i, value in args["assigns"]:
-                if attrs:
-                    assigns[attrs[i % len(attrs)]] = value
-
-            def real():
-                return handle(cls).create(**assigns).oid
-
-            def oracle(oid):
-                model.create(view, cls, assigns, oid, version=version)
-
-            return real, oracle
-        if op == "add":
-            src = self._pick(
-                model.class_names(view, version), args["src_cls_i"]
-            )
-            if src is None:
-                return None  # pragma: no cover - views are never empty
-            oid = self._pick(
-                model.extent_oids(view, src, version), args["obj_i"]
-            )
-            if oid is None:
-                return None
-
-            def real():
-                handle(src).get_object(oid).add_to(cls)
-
-            def oracle(_value):
-                model.add(view, cls, oid, version=version)
-
-            return real, oracle
-        oid = self._pick(model.extent_oids(view, cls, version), args["obj_i"])
-        if oid is None:
-            return None
-        if op == "remove":
-
-            def real():
-                handle(cls).get_object(oid).remove_from(cls)
-
-            def oracle(_value):
-                model.remove(view, cls, oid, version=version)
-
-            return real, oracle
-        if op == "set":
-            attr = self._pick(
-                model.attribute_names(view, cls, version), args["attr_i"]
-            )
-            if attr is None:
-                return None
-            value = args["value"]
-
-            def real():
-                handle(cls).get_object(oid).set(attr, value)
-
-            def oracle(_value):
-                model.set_values(view, cls, oid, {attr: value}, version=version)
-
-            return real, oracle
-        if op == "delete":
-
-            def real():
-                handle(cls).get_object(oid).delete()
-
-            def oracle(_value):
-                model._check_writable(view, version)
-                model.delete(oid)
-
-            return real, oracle
-        raise ValueError(f"unexpected pinned write {op!r}")  # pragma: no cover
 
     def _op_roll_app(self, args) -> str:
         """Rolling upgrade: rebind the app slot to the successor version.

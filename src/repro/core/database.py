@@ -33,7 +33,6 @@ from repro.schema.extents import IncrementalExtentEvaluator
 from repro.schema.graph import GlobalSchema
 from repro.schema.properties import Attribute, Method, Property
 from repro.storage.store import ObjectStore
-from repro.storage.transactions import TransactionManager
 from repro.views.manager import ViewManager
 from repro.views.schema import ViewSchema
 
@@ -51,7 +50,6 @@ class TseDatabase:
         self.obs = Observability()
         tracer = self.obs.tracer
         self.store = ObjectStore(slots_per_page=slots_per_page, cache_pages=cache_pages)
-        self.transactions = TransactionManager(self.store, tracer=tracer)
         self.pool = InstancePool(self.store)
         self.indexes = IndexManager(self.pool)
         self.schema = GlobalSchema()
@@ -78,6 +76,10 @@ class TseDatabase:
         #: ``None`` until :meth:`sessions` creates it — single-threaded use
         #: pays nothing for it
         self._sessions = None
+        #: savepoint outcomes (:meth:`transaction`), the ``transactions``
+        #: stats group
+        self.savepoints_committed = 0
+        self.savepoints_aborted = 0
         self._register_metrics()
         # crash dossiers carry the live schema/view state at dump time
         self.obs.flight.add_state("schema_generation", lambda: self.schema.generation)
@@ -609,8 +611,8 @@ class TseDatabase:
         def scope():
             tracer = self.obs.tracer
             savepoint = self._open_savepoint()
-            if self.wal is not None:
-                self.wal.begin_savepoint()
+            wal = self.wal
+            wal_mark = wal.begin_savepoint() if wal is not None else 0
             try:
                 yield self
             except BaseException:
@@ -620,19 +622,19 @@ class TseDatabase:
                 finally:
                     # even a failed rollback closes the WAL savepoint, or
                     # every later commit would stay buffered
-                    if self.wal is not None:
+                    if wal is not None:
                         # abort is a no-op on disk: buffered records are dropped
-                        self.wal.abort_savepoint()
-                    self.transactions.aborts += 1
+                        wal.abort_savepoint(wal_mark)
+                    self.savepoints_aborted += 1
                 raise
             with tracer.span("commit", scope="savepoint"):
                 self.store.undo.release()
                 # savepoint release: the WAL buffer (records journaled by
                 # the block) reaches the disk here, in one barrier — this
                 # closes the all-or-nothing unit of work
-                if self.wal is not None:
-                    self.wal.commit_savepoint()
-            self.transactions.commits += 1
+                if wal is not None:
+                    wal.commit_savepoint()
+            self.savepoints_committed += 1
 
         return scope()
 
@@ -900,7 +902,13 @@ class TseDatabase:
         # swaps ``db.store`` (and may swap other components) after __init__
         metrics.register_group("pages", lambda: self.store.stats.as_dict())
         metrics.register_group("extents", lambda: self.evaluator.stats.as_dict())
-        metrics.register_group("transactions", lambda: self.transactions.stats_dict())
+        metrics.register_group(
+            "transactions",
+            lambda: {
+                "committed": self.savepoints_committed,
+                "aborted": self.savepoints_aborted,
+            },
+        )
         metrics.register_group("pipeline", self._pipeline_stats)
         # pre-register pipeline counters so the snapshot shape is stable
         # from the first read, not from the first schema change
@@ -932,7 +940,8 @@ class TseDatabase:
         benchmarks can measure phases in isolation."""
         self.evaluator.stats.reset()
         self.store.reset_stats()
-        self.transactions.reset_stats()
+        self.savepoints_committed = 0
+        self.savepoints_aborted = 0
         self.obs.metrics.reset()
         self.obs.tracer.clear()
 

@@ -1,7 +1,7 @@
 """Storage substrate: the GemStone stand-in.
 
 Provides OID allocation, page-simulated slice storage with I/O accounting,
-and transactions.  See ``DESIGN.md`` section 5 for the substitution rationale.
+the savepoint undo log and the write-ahead log.  See ``DESIGN.md`` section 5 for the substitution rationale.
 """
 
 from repro.storage.oid import OID_SIZE_BYTES, POINTER_SIZE_BYTES, Oid, OidAllocator
@@ -13,12 +13,6 @@ from repro.storage.pages import (
     PageStats,
 )
 from repro.storage.store import ObjectStore
-from repro.storage.transactions import (
-    LockMode,
-    Transaction,
-    TransactionManager,
-    TxStatus,
-)
 from repro.storage.wal import (
     CrashInjector,
     SimulatedCrash,
@@ -38,10 +32,6 @@ __all__ = [
     "PageManager",
     "PageStats",
     "ObjectStore",
-    "LockMode",
-    "Transaction",
-    "TransactionManager",
-    "TxStatus",
     "CrashInjector",
     "SimulatedCrash",
     "WalManager",

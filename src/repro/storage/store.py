@@ -26,10 +26,8 @@ by interned position.  The external interface still speaks dictionaries
 from __future__ import annotations
 
 import bisect
-import json
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SliceNotFound, StorageError
@@ -374,7 +372,7 @@ class ObjectStore:
         """Restore the store *in place* from :meth:`snapshot` output.
 
         In-place restoration keeps every component that holds a reference to
-        this store (pool, transactions, indexes) valid.  Savepoint rollback
+        this store (instance pool, indexes) valid.  Savepoint rollback
         does not use it (it replays the :class:`UndoLog` instead): this is
         a whole-store reload, and it replaces the page manager — page
         counters included.
@@ -388,15 +386,6 @@ class ObjectStore:
             self._slices = fresh._slices
             self._by_key = fresh._by_key
             self._attrs = fresh._attrs
-
-    def save(self, path: "Path | str") -> None:
-        """Persist the store to a JSON file."""
-        Path(path).write_text(json.dumps(self.snapshot(), indent=1))
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "ObjectStore":
-        """Load a store previously written by :meth:`save`."""
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
 
 
 def _encode_values(payload: dict) -> dict:

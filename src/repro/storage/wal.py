@@ -423,7 +423,6 @@ class WalManager:
         self.db.wal = self
         self.db.engine.journal = self
         self.db.tsem.journal = self
-        self.db.transactions.wal = self
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -614,9 +613,12 @@ class WalManager:
 
     # -- savepoints (db.transaction()) -------------------------------------
 
-    def begin_savepoint(self) -> None:
+    def begin_savepoint(self) -> int:
+        """Open a savepoint; returns the buffer position
+        :meth:`abort_savepoint` truncates back to."""
         with self._append_lock:
             self._savepoint_depth += 1
+            return len(self._buffer)
 
     def commit_savepoint(self) -> None:
         """Outermost commit makes the buffered records durable atomically.
@@ -646,14 +648,15 @@ class WalManager:
         if flush_needed:
             self.flush()
 
-    def abort_savepoint(self) -> None:
-        """Abort is a no-op on disk: buffered records are dropped."""
+    def abort_savepoint(self, mark: int) -> None:
+        """Abort is a no-op on disk: the records buffered since ``mark``
+        (this savepoint's own, nested or not) are dropped, so an inner
+        abort never rides along in the enclosing commit."""
         with self._append_lock:
             if self._savepoint_depth == 0:
                 raise StorageError("abort_savepoint without begin_savepoint")
             self._savepoint_depth -= 1
-            if self._savepoint_depth == 0:
-                self._buffer.clear()
+            del self._buffer[mark:]
 
     # ------------------------------------------------------------------
     # checkpoints

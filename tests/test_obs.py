@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.core.database import TseDatabase
+from repro.errors import TseError
 from repro.obs import (
     LIFECYCLE_EVENTS,
     NULL_SPAN,
@@ -399,6 +400,37 @@ class TestDatabaseStats:
         # gauges mirroring live schema state are untouched
         assert stats["objects"] == 3
         assert stats["view_versions"] == 2
+
+    def test_transactions_group_counts_savepoint_outcomes(self):
+        db, view = build_figure3_database()
+
+        def outcomes():
+            return db.stats()["transactions"]
+
+        assert outcomes() == {"committed": 0, "aborted": 0}
+        with db.transaction():
+            view["Student"].create(name="kept")
+        assert outcomes() == {"committed": 1, "aborted": 0}
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                view["Student"].create(name="dropped")
+                raise RuntimeError("abort")
+        assert outcomes() == {"committed": 1, "aborted": 1}
+        # a nested inner abort counts once; its enclosing block commits
+        with db.transaction():
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    raise RuntimeError("inner abort")
+        assert outcomes() == {"committed": 2, "aborted": 2}
+        # a rejected batch is one aborted savepoint
+        with pytest.raises(TseError):
+            db.apply_many([
+                ("create", {"class_name": "Student", "assignments": {}}),
+                ("create", {"class_name": "NoSuchClass"}),
+            ])
+        assert outcomes() == {"committed": 2, "aborted": 3}
+        db.reset_stats()
+        assert outcomes() == {"committed": 0, "aborted": 0}
 
     def test_prometheus_export_covers_database_state(self):
         db, view = build_figure3_database()

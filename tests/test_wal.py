@@ -364,6 +364,47 @@ class TestRecovery:
         recovered = TseDatabase.recover(tmp_path / "wal")
         assert recovered.pool.object_count == 2
 
+    def test_nested_abort_of_data_update_stays_aborted_after_recovery(
+        self, tmp_path
+    ):
+        """Regression: an inner savepoint's abort dropped its buffered WAL
+        records only at depth 0, so the enclosing commit logged them and
+        recovery resurrected the aborted work."""
+        db = build_base()
+        db.enable_wal(tmp_path / "wal")
+        person = db.view("campus")["Person"]
+        with db.transaction():
+            kept = person.create(name="kept")
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    person.create(name="inner")
+                    kept["name"] = "clobbered"
+                    raise RuntimeError("inner rollback")
+        names = sorted(h["name"] for h in person.extent())
+        assert names == ["kept"]
+        recovered = TseDatabase.recover(tmp_path / "wal")
+        assert_equivalent(db, recovered)
+        r_names = sorted(h["name"] for h in recovered.view("campus")["Person"].extent())
+        assert r_names == ["kept"]
+
+    def test_nested_abort_of_schema_change_stays_aborted_after_recovery(
+        self, tmp_path
+    ):
+        db = build_base()
+        db.enable_wal(tmp_path / "wal")
+        with db.transaction():
+            db.view("campus")["Person"].create(name="kept")
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    db.view("campus").add_attribute(
+                        "nick", to="Person", domain="str"
+                    )
+                    raise RuntimeError("inner rollback")
+        assert "nick" not in db.view("campus")["Person"].attribute_names()
+        recovered = TseDatabase.recover(tmp_path / "wal")
+        assert_equivalent(db, recovered)
+        assert "nick" not in recovered.view("campus")["Person"].attribute_names()
+
     def test_oid_watermark_survives_failed_creates(self, tmp_path):
         """An op that consumed OIDs and rolled back leaves no record; the
         watermark on the next record keeps replay allocation aligned."""
