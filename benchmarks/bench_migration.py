@@ -21,6 +21,16 @@ modes, then asserts:
 
 The backfill worker is disabled during measurement (each run drains
 explicitly afterwards) so the numbers are pause, not pause-plus-drain.
+
+A second test gates what *data* writes cost the migration engine, at the
+same scales with 1 and 3 pinned readers
+(:func:`repro.workloads.migration.measure_capture_counts`): a value write
+that moves no extent leaves no backlog and registers no pending epoch,
+and a create or delete captures at most the extents it moved.  The
+counters are exact, so the gate has no slack; the tier-1 smoke
+(``tests/test_bench_smoke.py::test_migration_capture_shape_smoke``)
+asserts it over 1x/10x.
+
 Writes ``BENCH_migration.json`` at the repo root and
 ``benchmarks/results/migration.md``.
 """
@@ -34,6 +44,7 @@ from conftest import format_table, write_bench_json, write_report
 
 from repro.core.database import TseDatabase
 from repro.schema.properties import Attribute
+from repro.workloads.migration import capture_gate_violations, measure_capture_counts
 
 BENCH_MIGRATION_JSON = Path(__file__).parent.parent / "BENCH_migration.json"
 
@@ -49,6 +60,8 @@ LAZY_PAUSE_MS = 2.0
 FLATNESS_BOUND = 4.0
 #: eager must be at least this much slower than lazy at 100x
 EAGER_GAP = 3.0
+#: pinned readers stacked on each structural write in the capture gate
+CAPTURE_READERS = (1, 3)
 
 
 def build_db(n_objects: int, mode: str) -> TseDatabase:
@@ -177,6 +190,31 @@ def test_schema_change_pause_is_flat_under_lazy_migration():
         "Schema-change pause: lazy migration vs eager capture",
         body,
     )
+
+
+def test_data_writes_capture_only_moved_extents():
+    cells = {
+        (scale, readers): measure_capture_counts(scale, readers)
+        for scale in SCALES
+        for readers in CAPTURE_READERS
+    }
+    for cell in cells.values():
+        assert not capture_gate_violations(cell), cells
+
+    payload = {
+        "base_objects": BASE_OBJECTS,
+        **{
+            f"scale_{scale}x_readers_{readers}": cell
+            for (scale, readers), cell in cells.items()
+        },
+        # the gate, not a measurement (trend.py skips "floors")
+        "floors": {
+            "value_write_backlog": 0,
+            "value_write_epochs_registered": 0,
+            "captured_minus_moved_max": 0,
+        },
+    }
+    write_bench_json("migration_captures", payload, target=BENCH_MIGRATION_JSON)
 
 
 @pytest.mark.bench_smoke

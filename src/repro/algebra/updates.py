@@ -283,6 +283,10 @@ class UpdateEngine:
                 )
         except Exception:
             self.pool.destroy_object(obj.oid)
+            # every OID from ``oid_base`` on went to the object just
+            # destroyed: hand them back, so the watermark stays the one a
+            # log replay (which never sees this create) reproduces
+            self.pool.store.rewind_oids(oid_base)
             raise
         if self.journal is not None:
             self.journal.log_create(

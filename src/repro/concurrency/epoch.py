@@ -8,18 +8,27 @@ queries against one committed moment of the database:
   immutable once registered, so the capture shares them — copy-on-write in
   the literal sense: the only copied state is the membership data below);
 * per-class extent membership as ``frozenset`` of OIDs, each guarded by a
-  per-class CRC;
+  per-class CRC32 over the packed, sorted OID values;
 * a CRC **checksum** over a canonical rendering of the schema-shaped part
   (generation, class names, view versions), computed at publish time.
 
-Extent membership is captured either **eagerly** at publish (the classic
-path, kept under ``REPRO_EAGER_MIGRATION``) or **lazily**: publish leaves
-every class *pending* and the
-:class:`~repro.concurrency.migration.MigrationEngine` captures each
-class's membership on first touch, from the background backfill, or —
-sealed pre-mutation — just before a pool change could move it.  Either
-way the captured value equals the publish-time extent; lazy capture only
-moves *when* the copy happens off the writer's critical path.
+Epochs share what did not change.  At publish, a class whose extent the
+previous epoch captured, and whose cached extent in the evaluator is still
+that very ``frozenset`` object, is *carried*: the new epoch takes the
+previous epoch's extent and CRC as they are.  Identity proves equality —
+frozensets are immutable, and the incremental evaluator replaces a cached
+extent only when its membership changes and drops its whole cache on a
+schema change — so a value write that moves no extent publishes an epoch
+with nothing left to capture.
+
+The classes that did move are captured either **eagerly** at publish (the
+classic path, kept under ``REPRO_EAGER_MIGRATION``) or **lazily**: publish
+leaves them *pending* and the
+:class:`~repro.concurrency.migration.MigrationEngine` captures each one
+on first touch, from the background backfill, or — sealed pre-mutation —
+just before a pool change could move it.  Either way the captured value
+equals the publish-time extent; lazy capture only moves *when* the copy
+happens off the writer's critical path.
 
 Readers pin the current epoch with one small mutex hold (pointer grab +
 refcount) — crucially *without* touching the schema latch, so a reader
@@ -31,11 +40,11 @@ still visible to someone; retirement also drops the epoch's remaining
 migration backlog — capturing extents nobody can read would be waste.
 
 :meth:`SchemaEpoch.verify` recomputes the schema checksum, re-validates
-every captured extent against its per-class CRC, and re-checks the
-structural invariants (every class a view selects exists; every selected
-class has captured-or-pending membership).  A torn capture — one that
-interleaved with a mutation — cannot pass all three; the stress tests
-call it on every read, including mid-migration.
+every captured extent (carried or not) against its per-class CRC, and
+re-checks the structural invariants (every class a view selects exists;
+every selected class has captured-or-pending membership).  A torn
+capture — one that interleaved with a mutation — cannot pass all three;
+the stress tests call it on every read, including mid-migration.
 """
 
 from __future__ import annotations
@@ -43,12 +52,16 @@ from __future__ import annotations
 import json
 import threading
 import zlib
+from array import array
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from repro.errors import TseError, UnknownView
 from repro.storage.oid import Oid
 
 __all__ = ["EpochManager", "SchemaEpoch"]
+
+_oid_value = attrgetter("value")
 
 
 class SchemaEpoch:
@@ -78,6 +91,7 @@ class SchemaEpoch:
         extents: Mapping[str, FrozenSet[Oid]],
         pending: FrozenSet[str] = frozenset(),
         engine=None,
+        extent_crcs: Optional[Mapping[str, int]] = None,
         ) -> None:
         self.epoch_id = epoch_id
         self.schema_generation = schema_generation
@@ -90,9 +104,11 @@ class SchemaEpoch:
         self.extents: Dict[str, FrozenSet[Oid]] = {
             name: frozenset(members) for name, members in extents.items()
         }
-        #: class name -> CRC of its captured extent (torn-capture guard)
+        #: class name -> CRC of its captured extent (torn-capture guard);
+        #: ``extent_crcs`` supplies the CRCs of carried extents
+        known = extent_crcs or {}
         self.extent_crcs: Dict[str, int] = {
-            name: self._extent_crc(members)
+            name: known[name] if name in known else self._extent_crc(members)
             for name, members in self.extents.items()
         }
         #: classes published without captured membership (lazy migration);
@@ -109,10 +125,8 @@ class SchemaEpoch:
 
     @staticmethod
     def _extent_crc(members: FrozenSet[Oid]) -> int:
-        canonical = json.dumps(
-            sorted(o.value for o in members), separators=(",", ":")
-        ).encode("utf-8")
-        return zlib.crc32(canonical)
+        """CRC32 of the canonical sorted OID list, packed as int64s."""
+        return zlib.crc32(array("q", sorted(map(_oid_value, members))).tobytes())
 
     def _compute_checksum(self) -> int:
         # the schema-shaped part only: extents arrive lazily and carry
@@ -130,16 +144,16 @@ class SchemaEpoch:
         ).encode("utf-8")
         return zlib.crc32(canonical)
 
-    def _seal_class(self, name: str, members: FrozenSet[Oid]) -> None:
-        """Capture one class's membership (MigrationEngine only, under its
-        mutex).  Copy-on-write dict swaps keep concurrent readers safe:
-        they see either the old dict or the new one, never a dict mutating
-        under iteration.  Order matters — CRC first, extent second,
-        pending last — so any reader that observes the class as captured
-        also observes its extent *and* its CRC."""
-        members = frozenset(members)
+    def _seal_class(self, name: str, members: FrozenSet[Oid], crc: int) -> None:
+        """Capture one class's membership, whose CRC the caller computed
+        (MigrationEngine only, under its mutex).  Copy-on-write dict swaps
+        keep concurrent readers safe: they see either the old dict or the
+        new one, never a dict mutating under iteration.  Order matters —
+        CRC first, extent second, pending last — so any reader that
+        observes the class as captured also observes its extent *and* its
+        CRC."""
         crcs = dict(self.extent_crcs)
-        crcs[name] = self._extent_crc(members)
+        crcs[name] = crc
         self.extent_crcs = crcs
         extents = dict(self.extents)
         extents[name] = members
@@ -250,10 +264,12 @@ class EpochManager:
         session layer wires this into the pipeline's commit), or from
         single-threaded setup code.
 
-        With a migration engine attached the publish is *lazy*: the epoch
-        starts with every class pending and no extent copies, so the cost
-        under the latch is O(#classes + #views) regardless of how many
-        objects exist.  The engine is handed the epoch **before** it
+        Classes whose extent did not move since the previous epoch are
+        carried with their CRCs (see the module docstring).  The rest are
+        captured here in eager mode; with a migration engine attached the
+        publish is *lazy*: they start pending and no extent is copied, so
+        the cost under the latch is O(#classes + #views) regardless of how
+        many objects exist.  The engine is handed the epoch **before** it
         becomes current, so no reader can touch a pending class the
         engine does not know about.
         """
@@ -262,13 +278,17 @@ class EpochManager:
             name: db.views.current(name) for name in db.views.history.view_names()
         }
         class_names = frozenset(db.schema.class_names())
+        with self._mutex:
+            previous = self._current
+        extents, crcs = self._carried(previous, class_names)
+        moved = class_names.difference(extents)
         engine = self.migration
         if engine is None:
-            extents = {name: db.evaluator.extent(name) for name in class_names}
+            for name in moved:
+                extents[name] = db.evaluator.extent(name)
             pending: FrozenSet[str] = frozenset()
         else:
-            extents = {}
-            pending = class_names
+            pending = moved
         with self._mutex:
             self._next_id += 1
             epoch = SchemaEpoch(
@@ -279,6 +299,7 @@ class EpochManager:
                 extents=extents,
                 pending=pending,
                 engine=engine,
+                extent_crcs=crcs,
             )
             if engine is not None:
                 engine.register(epoch)
@@ -287,6 +308,25 @@ class EpochManager:
             if previous is not None and previous._pins == 0:
                 self._retire_locked(previous)
         return epoch
+
+    def _carried(self, previous: Optional[SchemaEpoch], class_names):
+        """The extents (and their CRCs) of ``previous`` that the evaluator
+        still caches as the very same object — unchanged since captured."""
+        extents: Dict[str, FrozenSet[Oid]] = {}
+        crcs: Dict[str, int] = {}
+        if previous is None:
+            return extents, crcs
+        # extents before CRCs: a seal writes the CRC first, so every class
+        # in this extents snapshot has its CRC in the later one
+        captured = previous.extents
+        captured_crcs = previous.extent_crcs
+        cached = self._db.evaluator.cached
+        for name in class_names:
+            members = captured.get(name)
+            if members is not None and members is cached(name):
+                extents[name] = members
+                crcs[name] = captured_crcs[name]
+        return extents, crcs
 
     def _retire_locked(self, epoch: SchemaEpoch) -> None:
         """Mark an unreachable epoch retired and drop its migration

@@ -7,13 +7,20 @@ Schema Evolution is (Almost) Free for Snapshot Databases" (VLDB 2023)
 shows is avoidable in snapshot systems.  This module is the avoidance:
 
 * :meth:`~repro.concurrency.epoch.EpochManager.publish` constructs the new
-  :class:`~repro.concurrency.epoch.SchemaEpoch` with **no** extents —
-  every class starts *pending* — and registers it here.  The latch hold
+  :class:`~repro.concurrency.epoch.SchemaEpoch` with only the extents the
+  previous epoch captured and no commit since has moved (*carried*, CRC
+  and all); every class whose extent moved starts *pending*, and the epoch
+  is registered here only if some class is pending.  The latch hold
   shrinks to schema bookkeeping: O(#classes + #views), independent of the
   object count.
 * A pending class is **captured on first touch**: the first reader that
   asks an epoch for its extent triggers :meth:`MigrationEngine.capture_touch`,
-  which snapshots the live extent into the epoch (with a per-class CRC).
+  which snapshots the live extent (with a per-class CRC).
+* **One capture serves every pending epoch**: every capture path fills
+  class C, with one extent and one CRC, in *every* epoch still pending on
+  C.  Seal-before-mutation (below) is what makes that sound — while C is
+  pending anywhere, no mutation has moved it, so all those epochs share
+  the live extent.
 * A daemon **backfill worker** drains the remaining pending classes in
   bounded batches (:meth:`MigrationEngine.backfill_step`), each batch
   holding the latch's *read* side briefly — writers queue at most one
@@ -49,7 +56,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
+
+from repro.concurrency.epoch import SchemaEpoch
 
 __all__ = ["MigrationEngine"]
 
@@ -81,6 +90,7 @@ class MigrationEngine:
         self.epochs_drained = 0
         self.epochs_dropped = 0
         self.backlog_dropped = 0
+        self.classes_carried = 0
         self.classes_captured = 0
         self.classes_sealed = 0
         self.touch_captures = 0
@@ -107,10 +117,12 @@ class MigrationEngine:
     # ------------------------------------------------------------------
 
     def register(self, epoch) -> None:
-        """Adopt a freshly published epoch's pending backlog."""
-        if not epoch.pending:
-            return
+        """Count a freshly published epoch's carried classes (captured at
+        publish without a copy) and adopt its pending backlog, if any."""
         with self._mutex:
+            self.classes_carried += len(epoch.extents)
+            if not epoch.pending:
+                return
             self._epochs.append(epoch)
             self.epochs_registered += 1
             self._has_pending = True
@@ -137,12 +149,19 @@ class MigrationEngine:
     # capture paths
     # ------------------------------------------------------------------
 
-    def _capture_locked(self, epoch, name: str) -> None:
-        # caller holds latch.read + self._mutex: the schema is not mid-
-        # change and no hooked mutation is in flight, so the live extent
-        # still equals the epoch's publish-time extent for ``name``
-        epoch._seal_class(name, self._db.evaluator.extent(name))
+    def _capture_locked(self, name: str) -> List[object]:
+        """Capture ``name`` once into every epoch still pending on it;
+        returns those epochs.  The caller holds latch.read + self._mutex:
+        the schema is not mid-change and no hooked mutation is in flight,
+        so the live extent still equals each such epoch's publish-time
+        extent for ``name``."""
+        members = self._db.evaluator.extent(name)
+        crc = SchemaEpoch._extent_crc(members)
+        filled = [epoch for epoch in self._epochs if name in epoch.pending]
+        for epoch in filled:
+            epoch._seal_class(name, members, crc)
         self.classes_captured += 1
+        return filled
 
     def _prune_drained_locked(self) -> None:
         drained = [epoch for epoch in self._epochs if not epoch.pending]
@@ -165,7 +184,7 @@ class MigrationEngine:
             with self._mutex:
                 if global_name not in epoch.pending:
                     return  # raced another capture — already sealed
-                self._capture_locked(epoch, global_name)
+                self._capture_locked(global_name)
                 self.touch_captures += 1
                 self._prune_drained_locked()
         self._batch_seconds["touch"].observe(time.perf_counter() - start)
@@ -185,40 +204,32 @@ class MigrationEngine:
             limit = self.backfill_batch_limit
         limit = max(1, int(limit))
         start = time.perf_counter()
-        captured: List[str] = []
-        journal: List[Dict[str, object]] = []
+        captured = 0
+        # epoch -> the classes this batch filled in it
+        filled: Dict[object, List[str]] = {}
         with self._latch.read():
             with self._mutex:
-                remaining = limit
                 for epoch in list(self._epochs):
-                    batch: List[str] = []
-                    while remaining and epoch.pending:
+                    while captured < limit and epoch.pending:
                         name = min(epoch.pending)  # deterministic drain order
-                        self._capture_locked(epoch, name)
-                        batch.append(name)
-                        remaining -= 1
-                    if batch:
-                        captured.extend(batch)
-                        journal.append(
-                            {
-                                "epoch": epoch.epoch_id,
-                                "classes": batch,
-                                "remaining": len(epoch.pending),
-                            }
-                        )
-                    if not remaining:
+                        for target in self._capture_locked(name):
+                            filled.setdefault(target, []).append(name)
+                        captured += 1
+                    if captured == limit:
                         break
+                journal = sorted(
+                    (epoch.epoch_id, names, len(epoch.pending))
+                    for epoch, names in filled.items()
+                )
                 self._prune_drained_locked()
         if captured:
             self.backfill_steps += 1
             self._batch_seconds["backfill"].observe(time.perf_counter() - start)
             wal = self._db.wal
             if wal is not None:
-                for entry in journal:
-                    wal.migration_step(
-                        entry["epoch"], entry["classes"], entry["remaining"]
-                    )
-        return len(captured)
+                for epoch_id, names, remaining in journal:
+                    wal.migration_step(epoch_id, names, remaining)
+        return captured
 
     def drain(self) -> int:
         """Capture *every* pending class synchronously (vacuum, tests)."""
@@ -259,14 +270,12 @@ class MigrationEngine:
             return False
         start = time.perf_counter()
         affected = self._affected_classes(kind, oid, class_names, attr)
-        sealed = 0
-        for epoch in list(self._epochs):
-            targets = (
-                epoch.pending if affected is None else epoch.pending & affected
-            )
-            for name in sorted(targets):
-                self._capture_locked(epoch, name)
-                sealed += 1
+        targets: Set[str] = set()
+        for epoch in self._epochs:
+            targets |= epoch.pending if affected is None else epoch.pending & affected
+        for name in sorted(targets):
+            self._capture_locked(name)
+        sealed = len(targets)
         if sealed:
             self.classes_sealed += sealed
             self._batch_seconds["seal"].observe(time.perf_counter() - start)
@@ -401,6 +410,7 @@ class MigrationEngine:
                 "epochs_drained": self.epochs_drained,
                 "epochs_dropped": self.epochs_dropped,
                 "backlog_dropped": self.backlog_dropped,
+                "classes_carried": self.classes_carried,
                 "classes_captured": self.classes_captured,
                 "classes_sealed": self.classes_sealed,
                 "touch_captures": self.touch_captures,

@@ -328,6 +328,16 @@ class ExtentEvaluator:
         self._cache.clear()
         self._cache_key = self._current_key()
 
+    def cached(self, class_name: str) -> Optional[FrozenSet[Oid]]:
+        """The cached extent of ``class_name`` if it is still valid, else
+        None — a peek that never computes, clears or counts.  Cached
+        extents are immutable and replaced only when membership changes,
+        so a caller holding an earlier result can test ``is`` to learn
+        that the extent has not moved since."""
+        if self._cache_key != self._current_key():
+            return None
+        return self._cache.get(class_name)
+
     def extent(self, class_name: str) -> FrozenSet[Oid]:
         """The global extent of the class as a frozen set of conceptual OIDs."""
         key = self._current_key()

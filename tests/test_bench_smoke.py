@@ -82,3 +82,20 @@ def test_savepoint_scale_smoke():
     cells = {scale: measure_savepoint(scale) for scale in (1, 10)}
     for key in ("commit_ms", "abort_ms"):
         assert cells[10][key] < 4.0 * max(cells[1][key], 0.05), (key, cells)
+
+
+@pytest.mark.bench_smoke
+def test_migration_capture_shape_smoke():
+    """Epochs share what a data write did not move, at 1x and 10x and with
+    1 or 3 pinned readers (backfill off, so every capture is counted): a
+    value write that moves no extent leaves no backlog and registers no
+    pending epoch, and a create or delete captures at most the extents it
+    moved — once, however many pinned epochs wait for them.  Exact
+    counters; ``benchmarks/bench_migration.py`` asserts the same over
+    100x and records the figures in ``BENCH_migration.json``."""
+    from repro.workloads.migration import capture_gate_violations, measure_capture_counts
+
+    for scale in (1, 10):
+        for readers in (1, 3):
+            cell = measure_capture_counts(scale, readers)
+            assert not capture_gate_violations(cell), cell

@@ -26,21 +26,28 @@ writer's critical path.  These tests pin its contract:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from typing import Optional
 
 import pytest
 
+from repro.algebra.expressions import Compare
 from repro.core.database import TseDatabase
 from repro.core.manager import TseManager
 from repro.errors import EvolutionError, TseError
+from repro.schema.classes import Derivation
 from repro.schema.properties import Attribute
+from repro.storage.oid import Oid
 from repro.storage.wal import LOG_NAME, CrashInjector, SimulatedCrash, WriteAheadLog
 
 from tests.test_wal import assert_equivalent
 
 
-def build_campus(mode: str = "lazy", backfill: bool = False) -> TseDatabase:
+def build_campus(mode: Optional[str] = "lazy", backfill: bool = False) -> TseDatabase:
+    """The campus population; ``mode=None`` leaves the migration mode to
+    ``REPRO_EAGER_MIGRATION``."""
     db = TseDatabase()
     db.migration_mode = mode
     db.migration_backfill = backfill
@@ -144,6 +151,216 @@ class TestTransparency:
             assert r.verify()
             r.refresh()
             assert r.count("campus", "Student") == students - 1
+
+
+# ---------------------------------------------------------------------------
+# epochs share what did not change: carried extents across data writes
+# ---------------------------------------------------------------------------
+
+
+def build_adults(mode: Optional[str] = "lazy", backfill: bool = False) -> TseDatabase:
+    """The campus plus a select class, so value writes can move extents,
+    and an ``adults`` view that shows it."""
+    db = build_campus(mode=mode, backfill=backfill)
+    db.define_virtual_class(
+        "Adult",
+        Derivation(op="select", sources=("Person",), predicate=Compare("age", ">=", 21)),
+    )
+    db.create_view("adults", ["Person", "Adult"])
+    return db
+
+
+def _rename(writer) -> None:
+    """A value write no select predicate reads: moves no extent."""
+    person = writer.view("campus")["Person"]
+    person.get_object(person.extent_oids()[0]).set("name", "x")
+
+
+def _reject_batch(writer) -> None:
+    first = writer.view("campus")["Person"].extent_oids()[0]
+    with pytest.raises(TseError):
+        writer.db.apply_many(
+            [
+                ("set", {"oids": [first], "class_name": "Person",
+                         "assignments": {"age": 99}}),
+                ("delete", {"oids": [Oid(0)]}),  # never allocated: rejects
+            ]
+        )
+
+
+#: a mixed sequence of data writes and one schema change, each run in a
+#: writer session (and so each publishing an epoch)
+DATA_STEPS = (
+    ("set", _rename),
+    ("set where", lambda w: w.view("campus")["Person"].set_where(
+        Compare("age", ">=", 40), age=5)),
+    ("create", lambda w: w.view("campus")["Person"].create(name="late", age=33)),
+    ("delete", lambda w: w.view("campus")["Student"].get_object(
+        w.view("campus")["Student"].extent_oids()[0]).delete()),
+    ("rejected apply_many", _reject_batch),
+    ("add_attribute", lambda w: w.view("campus").add_attribute(
+        "credits", to="Student", default=0)),
+    ("set after schema change", _rename),
+)
+
+
+def _observe(reader) -> dict:
+    return {
+        "verify": reader.verify(),
+        "extents": {
+            cls: [o.value for o in reader.extent_oids("campus", cls)]
+            for cls in sorted(reader.class_names("campus"))
+        },
+        "counts": {
+            cls: reader.count("campus", cls) for cls in reader.class_names("campus")
+        },
+    }
+
+
+class TestCarriedExtents:
+    def test_pinned_reads_match_eager_across_data_writes(self):
+        """A reader pinned before each step of a mixed write sequence reads
+        the same counts, OIDs and ``verify()`` under lazy and eager
+        publication after every later step — the live extents at its pin,
+        never moving."""
+        dbs = {mode: build_adults(mode) for mode in ("lazy", "eager")}
+        sessions = {mode: db.sessions() for mode, db in dbs.items()}
+        readers = {mode: [] for mode in dbs}
+        first_seen = {mode: [] for mode in dbs}
+        try:
+            for label, step in DATA_STEPS:
+                for mode, db in dbs.items():
+                    view = db.view("campus")
+                    live = {
+                        cls: [o.value for o in view[cls].extent_oids()]
+                        for cls in sorted(view.class_names())
+                    }
+                    reader = sessions[mode].reader().__enter__()
+                    readers[mode].append(reader)
+                    first_seen[mode].append(None)
+                    with sessions[mode].writer() as writer:
+                        step(writer)
+                    for index, reader in enumerate(readers[mode]):
+                        seen = _observe(reader)
+                        if first_seen[mode][index] is None:
+                            assert seen["extents"] == live, (mode, label)
+                            first_seen[mode][index] = seen
+                        assert seen == first_seen[mode][index], (mode, label, index)
+                        assert seen["verify"], (mode, label, index)
+                assert first_seen["lazy"] == first_seen["eager"], label
+        finally:
+            for mode in dbs:
+                for reader in readers[mode]:
+                    reader.close()
+
+    @pytest.mark.parametrize("mode", ["lazy", "eager"])
+    def test_carried_extent_is_the_previous_epochs_object(self, mode):
+        db = build_adults(mode)
+        sessions = db.sessions()
+        if sessions.migration is not None:
+            sessions.migration.drain()
+        before = sessions.epochs.current
+        with sessions.writer() as writer:
+            _rename(writer)
+        after = sessions.epochs.current
+        assert after is not before
+        assert not after.pending
+        for name in before.class_names:
+            assert after.extents[name] is before.extents[name], name
+            assert after.extent_crcs[name] == before.extent_crcs[name], name
+        assert after.verify()
+
+    def test_value_only_commit_registers_no_pending_epoch(self):
+        db = build_adults()
+        sessions = db.sessions()
+        engine = sessions.migration
+        engine.drain()
+        stats = engine.stats_dict()
+        with sessions.writer() as writer:
+            _rename(writer)
+        after = engine.stats_dict()
+        assert engine.backlog() == 0
+        assert after["epochs_registered"] == stats["epochs_registered"]
+        assert after["classes_captured"] == stats["classes_captured"]
+        classes = len(sessions.epochs.current.class_names)
+        assert after["classes_carried"] == stats["classes_carried"] + classes
+
+    def test_moved_class_is_captured_once_for_every_pending_epoch(self):
+        db = build_adults()
+        sessions = db.sessions()
+        engine = sessions.migration
+        engine.drain()
+        with sessions.writer() as writer:
+            writer.view("campus")["Person"].create(name="late", age=33)
+        pinned = [sessions.reader().__enter__()]
+        with sessions.writer() as writer:
+            _rename(writer)
+        pinned.append(sessions.reader().__enter__())
+        try:
+            first, second = (reader.epoch for reader in pinned)
+            moved = first.pending
+            assert moved and second.pending == moved
+            captured = engine.classes_captured
+            engine.drain()
+            assert engine.classes_captured - captured == len(moved)
+            for name in first.extents:
+                assert first.extents[name] is second.extents[name], name
+            assert first.verify() and second.verify()
+        finally:
+            for reader in pinned:
+                reader.close()
+
+    def test_capture_skips_epochs_that_already_hold_the_class(self):
+        """A capture fills only the epochs still pending on the class: an
+        older epoch that sealed its own copy before a write keeps it."""
+        db = build_adults()
+        sessions = db.sessions()
+        engine = sessions.migration
+        engine.drain()
+        with sessions.writer() as writer:
+            late = writer.view("campus")["Person"].create(name="late", age=33)
+        reader = sessions.reader().__enter__()
+        try:
+            older = reader.epoch
+            assert {"Person", "Adult"} <= older.pending
+            reader.count("campus", "Person")  # touch: captures Person only
+            with sessions.writer() as writer:
+                # moves Adult only: seals it in the older epoch first
+                writer.view("campus")["Person"].get_object(late.oid).set("age", 10)
+            newer = sessions.epochs.current
+            held = older.extents["Adult"]
+            assert late.oid in held
+            assert newer.extents["Person"] is older.extents["Person"]
+            assert "Adult" in newer.pending and "Adult" not in older.pending
+            assert older.pending, "the older epoch must stay registered"
+            engine.drain()
+            assert older.extents["Adult"] is held
+            assert late.oid not in newer.extents["Adult"]
+            assert older.verify() and newer.verify()
+        finally:
+            reader.close()
+
+    def test_tampering_a_carried_extent_or_crc_fails_verify(self):
+        db = build_adults()
+        sessions = db.sessions()
+        sessions.migration.drain()
+        before = sessions.epochs.current
+        with sessions.writer() as writer:
+            _rename(writer)
+        epoch = sessions.epochs.current
+        assert epoch.extents["Person"] is before.extents["Person"]
+        extents, crcs = epoch.extents, epoch.extent_crcs
+        assert epoch.verify()
+
+        epoch.extents = {**extents, "Person": extents["Person"] - {min(extents["Person"])}}
+        assert not epoch.verify()
+        epoch.extents = extents
+        epoch.extent_crcs = {**crcs, "Person": crcs["Person"] ^ 1}
+        assert not epoch.verify()
+        epoch.extent_crcs = crcs
+        assert epoch.verify()
+        # the previous epoch shares the frozenset, not the dicts
+        assert before.verify()
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +563,12 @@ class TestDurability:
 
 def run_backfill_stress(n_readers: int, n_changes: int) -> None:
     """Readers pin epochs and read/verify continuously while a writer
-    loops schema changes and the background worker drains backlogs —
-    every capture path (touch, seal, backfill) races every reader."""
-    db = build_campus(backfill=True)
+    loops schema changes and creates and the background worker drains
+    backlogs — every capture path (touch, seal, backfill) and every
+    carried extent races every reader.  The migration mode follows
+    ``REPRO_EAGER_MIGRATION``, so the same race runs against eager
+    publication (which carries unmoved extents and CRCs too)."""
+    db = build_campus(mode=None, backfill=True)
     sessions = db.sessions()
     stop = threading.Event()
     reads = [0] * n_readers
@@ -398,13 +618,109 @@ def run_backfill_stress(n_readers: int, n_changes: int) -> None:
         raise errors[0]
     assert all(count > 0 for count in reads), "a reader thread starved"
     engine = sessions.migration
-    assert wait_until(lambda: engine.backlog() == 0), engine.status()
+    if engine is not None:
+        assert wait_until(lambda: engine.backlog() == 0), engine.status()
+
+
+def run_pinned_stability_stress(n_readers: int, rounds: int) -> None:
+    """Readers hold a pin across two reads while a writer interleaves
+    creates, value writes that do and do not move extents, and schema
+    changes, with the backfill worker live and a short switch interval:
+    a capture that filled an epoch with a later extent would change a
+    pinned count between the two reads.  After each write the writer
+    pins the new epoch and checks it against the live database, which
+    only it mutates — a carried extent that had moved would differ."""
+    db = build_adults(mode=None, backfill=True)
+    sessions = db.sessions()
+    stop = threading.Event()
+    errors = []
+    reads = [0] * n_readers
+
+    def observe(reader):
+        return {
+            (view, cls): reader.count(view, cls)
+            for view in ("campus", "adults")
+            for cls in reader.class_names(view)
+        }
+
+    def write(mutate):
+        with sessions.writer() as w:
+            result = mutate(w)
+        live = {
+            (view, cls): db.view(view)[cls].count()
+            for view in ("campus", "adults")
+            for cls in db.view(view).class_names()
+        }
+        with sessions.reader() as r:
+            assert observe(r) == live, "the new epoch differs from the database"
+        return result
+
+    def reader_loop(index):
+        try:
+            while not stop.is_set():
+                with sessions.reader() as r:
+                    first = observe(r)
+                    time.sleep(0)
+                    assert observe(r) == first, "a pinned count moved"
+                    assert r.verify(), "torn epoch"
+                reads[index] += 1
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    def writer_loop():
+        try:
+            for seq in range(rounds):
+                created = write(
+                    lambda w: w.view("campus")["Person"].create(name=f"n{seq}", age=30)
+                )
+                write(_rename)
+                write(
+                    lambda w: w.view("campus")["Person"].get_object(created.oid).set(
+                        "age", 5
+                    )
+                )
+                if seq % 10 == 9:
+                    write(lambda w: w.view("campus").add_attribute(f"tmp{seq}", to="Person"))
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    threads = [
+        threading.Thread(target=reader_loop, args=(i,)) for i in range(n_readers)
+    ]
+    threads.append(threading.Thread(target=writer_loop))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a thread hung"
+    if errors:
+        raise errors[0]
+    assert all(count > 0 for count in reads), "a reader thread starved"
+    engine = sessions.migration
+    if engine is not None:
+        assert wait_until(lambda: engine.backlog() == 0), engine.status()
 
 
 class TestBackfillStress:
     def test_stress_small(self):
         """Tier-1-sized: 3 readers vs 10 schema changes with live backfill."""
         run_backfill_stress(n_readers=3, n_changes=10)
+
+    def test_pinned_counts_hold_small(self):
+        """Tier-1-sized: 4 readers (more than cores) vs 12 write rounds."""
+        run_pinned_stability_stress(n_readers=4, rounds=12)
+
+    @pytest.mark.concurrency_stress
+    def test_pinned_counts_hold_full(self):
+        run_pinned_stability_stress(n_readers=8, rounds=60)
 
     @pytest.mark.concurrency_stress
     def test_stress_full(self):

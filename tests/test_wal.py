@@ -419,8 +419,9 @@ class TestRecovery:
         view = db.view("hr")
         before = db.pool.store.oid_next
         with pytest.raises(UpdateRejected):
-            view["Badge"].create()  # rejected by REQUIRED, burns OIDs
-        assert db.pool.store.oid_next > before  # the allocator is monotone
+            view["Badge"].create()  # rejected by REQUIRED after allocating
+        # the rejected create hands its OIDs back
+        assert db.pool.store.oid_next == before
         survivor = view["Badge"].create(code="B-1")
         recovered = TseDatabase.recover(tmp_path / "wal")
         assert recovered.extent("Badge") == {survivor.oid}
@@ -428,6 +429,54 @@ class TestRecovery:
         assert r_handle.oid == survivor.oid
         assert r_handle["code"] == "B-1"
         assert recovered.pool.store.oid_next == db.pool.store.oid_next
+
+    def test_rejected_create_leaves_the_replayed_watermark(self, tmp_path):
+        """A rejected lone create journals nothing, so recovery must land
+        on the live OID watermark with no later record to fast-forward
+        to (the seed-886 rollback divergence of the differential runner,
+        corpus entry ``rejected-create-oid-watermark``)."""
+        from repro.errors import UpdateRejected
+
+        db = build_base()
+        db.define_class(
+            "Badge", [Attribute("code", domain="str", required=True)]
+        )
+        db.create_view("hr", ["Badge"])
+        db.enable_wal(tmp_path / "wal")
+        with pytest.raises(UpdateRejected):
+            db.view("hr")["Badge"].create()
+        recovered = TseDatabase.recover(tmp_path / "wal")
+        assert recovered.pool.store.oid_next == db.pool.store.oid_next
+        assert_equivalent(recovered, db)
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_oids_handed_back_inside_a_savepoint(self, tmp_path, outcome):
+        """A rejected create caught inside a savepoint hands its OIDs back
+        and the next create reuses them; committing or aborting the block
+        afterwards still recovers to the live database."""
+        from repro.errors import UpdateRejected
+        from repro.persistence import database_to_dict
+
+        db = build_base()
+        db.define_class(
+            "Badge", [Attribute("code", domain="str", required=True)]
+        )
+        db.create_view("hr", ["Badge"])
+        db.enable_wal(tmp_path / "wal")
+        badges = db.view("hr")["Badge"]
+        entry = database_to_dict(db)
+        try:
+            with db.transaction():
+                with pytest.raises(UpdateRejected):
+                    badges.create()
+                reused = db.pool.store.oid_next
+                assert badges.create(code="B-1").oid.value == reused
+                if outcome == "abort":
+                    raise KeyError("abort the block")
+        except KeyError:
+            assert database_to_dict(db) == entry
+        recovered = TseDatabase.recover(tmp_path / "wal")
+        assert_equivalent(recovered, db)
 
     def test_replay_oid_mismatch_raises_recovery_error(self, tmp_path):
         db = build_base()
